@@ -16,8 +16,7 @@
 //!
 //! Everything is keyed on the cluster's own discrete clock (one sweep over
 //! all nodes per tick, nodes stepped in index order), so a run is
-//! byte-identical for any worker count and across the event-driven and
-//! lockstep inner loops.
+//! byte-identical for any worker count.
 
 use crate::fleet::FleetFrameOutcome;
 use crate::service::{
@@ -268,7 +267,6 @@ struct Node {
 #[derive(Debug)]
 pub struct ClusterBuilder {
     policy: ClusterPolicy,
-    mode: ExecutionMode,
     nodes: Vec<(DeviceClass, ExecutionEngine, Characterization)>,
 }
 
@@ -277,7 +275,6 @@ impl ClusterBuilder {
     pub fn new() -> Self {
         Self {
             policy: ClusterPolicy::defaults(),
-            mode: ExecutionMode::default(),
             nodes: Vec::new(),
         }
     }
@@ -288,9 +285,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Selects the per-node inner loop (event-driven is the default).
-    pub fn execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
+    /// Does nothing: the fleet has one inner loop. This exists only so the
+    /// benchmark, which still passes `ExperimentContext::execution_mode()`
+    /// here, builds unchanged.
+    pub fn execution_mode(self, _mode: ExecutionMode) -> Self {
         self
     }
 
@@ -314,9 +312,8 @@ impl ClusterBuilder {
     pub fn build(self) -> Result<ClusterScheduler, ShiftError> {
         let mut nodes = Vec::with_capacity(self.nodes.len());
         for (class, engine, characterization) in self.nodes {
-            let service = FleetBuilder::new(engine, &characterization)
-                .execution_mode(self.mode)
-                .build_service(self.policy.service)?;
+            let service =
+                FleetBuilder::new(engine, &characterization).build_service(self.policy.service)?;
             nodes.push(Node { class, service });
         }
         Ok(ClusterScheduler {
@@ -494,7 +491,7 @@ impl ClusterScheduler {
     /// Runs until every scheduled operation has fired and every node is
     /// drained, returning all frame outcomes in production order (tick by
     /// tick, node-index order within a tick — a total order independent of
-    /// worker count and inner-loop mode).
+    /// worker count).
     ///
     /// # Errors
     ///
@@ -949,10 +946,9 @@ mod tests {
     }
 
     #[test]
-    fn identical_schedules_replay_identically_across_modes() {
-        let run = |mode: ExecutionMode| {
+    fn identical_schedules_replay_identically() {
+        let run = || {
             let mut cluster = builder_with(&[DeviceClass::NxClass, DeviceClass::GpuRich], 13)
-                .execution_mode(mode)
                 .policy(ClusterPolicy::defaults().with_rebalance(4, 0.9))
                 .build()
                 .unwrap();
@@ -962,9 +958,6 @@ mod tests {
             let outcomes = cluster.run_until_idle().unwrap();
             (outcomes, cluster.sessions(), cluster.drain_events())
         };
-        assert_eq!(
-            run(ExecutionMode::EventDriven),
-            run(ExecutionMode::Lockstep)
-        );
+        assert_eq!(run(), run());
     }
 }

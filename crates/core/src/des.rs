@@ -1,13 +1,17 @@
-//! Deterministic discrete-event scheduling for the fleet runtime.
+//! Deterministic event ordering: the session-op queue and the frame trace.
 //!
-//! The lockstep fleet loop touches every stream on every tick: admission
-//! scans all N streams even when most of them are drained or waiting, and
-//! scripted faults are polled once per frame whether or not an edge is due.
-//! This module provides the alternative backbone: a priority queue of typed
-//! events ([`EventQueue`]) that the event-driven [`FleetRuntime`](crate::fleet::FleetRuntime)
-//! pops in a
-//! **total, deterministic order**, so that only streams with work pending
-//! cost anything and fault edges fire exactly when scripted.
+//! The fleet runs one per-frame loop (see `fleet.rs`): each step advances
+//! the fault injector to the current tick, admits one stream from the ready
+//! set and runs that frame's admit → infer → complete phases in place. No
+//! queue sits between those phases, and fault edges need none either —
+//! [`FaultInjector::advance`](shift_soc::FaultInjector::advance) walks its
+//! own sorted cursors and is an O(1) no-op between edges. The two things
+//! this module still orders are:
+//!
+//! * the [`EventQueue`] that [`FleetService`](crate::service::FleetService)
+//!   schedules attach, detach and query operations on, keyed on the fleet's
+//!   tick;
+//! * the [`EventKind`] labels of the optional per-frame [`TraceEvent`]s.
 //!
 //! # Ordering contract
 //!
@@ -17,18 +21,12 @@
 //! (time, event-kind rank, stream id, sequence number)
 //! ```
 //!
-//! * `time` — the fleet's discrete clock (frames admitted so far). The fleet
-//!   deliberately keys events on this logical tick rather than on virtual
-//!   seconds: admission order is decided by the fairness policy over the
-//!   *live* occupancy/lag state, so replaying the lockstep tick order is
-//!   what makes the two execution modes bit-identical (see `fleet.rs`).
-//! * `rank` — [`EventKind::rank`]: fault edges fire before frame work at the
-//!   same tick (matching the lockstep loop, which advances the injector
-//!   before admission), session departures and arrivals land next (detach
-//!   frees capacity before the same tick's attach is admission-checked),
-//!   and within one frame the lifecycle runs
+//! * `time` — the fleet's discrete clock (frames admitted so far).
+//! * `rank` — [`EventKind::rank`]: session departures land before arrivals
+//!   at the same tick (detach frees capacity before the same tick's attach
+//!   is admission-checked), and within one frame the trace stamps run
 //!   arrival → load-complete → inference-complete.
-//! * `stream` — lower stream index first, mirroring the lockstep tie-break.
+//! * `stream` — lower stream index first.
 //! * `seq` — a queue-assigned monotonic sequence number, so two events that
 //!   tie on everything else pop in insertion order (FIFO). This makes pop
 //!   order *total*: no two events ever compare equal.
@@ -41,48 +39,38 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// How the fleet executes its streams.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// The fleet's inner loop. There is only one; the type exists only so the
+/// benchmark, which passes `ExperimentContext::execution_mode()` to
+/// `ClusterBuilder::execution_mode`, builds unchanged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
-    /// The original loop: every step polls the fault injector and scans all
-    /// streams for admission. Kept as the differential-testing oracle.
-    Lockstep,
-    /// The discrete-event loop: fault edges are pre-scheduled, admission
-    /// scans only the ready set, and each frame's lifecycle flows through
-    /// the [`EventQueue`]. Bit-identical outcomes to [`Lockstep`], at
-    /// O(active streams) per step.
-    ///
-    /// [`Lockstep`]: ExecutionMode::Lockstep
-    #[default]
-    EventDriven,
+    /// The per-frame loop over the ready set.
+    ReadySet,
 }
 
-/// The kinds of events the fleet schedules, in rank order.
+/// The kinds of events the service schedules and the frame trace records,
+/// in rank order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EventKind {
-    /// A scripted fault or recovery edge is due (rank 0: platform state
-    /// changes land before any frame work at the same tick).
-    FaultEdge,
-    /// A session leaves the fleet (rank 1: departures free capacity before
+    /// A session leaves the fleet (rank 0: departures free capacity before
     /// the same tick's arrivals are admission-checked).
     SessionDetach,
-    /// A session asks to join the fleet (rank 2: admission control sees the
+    /// A session asks to join the fleet (rank 1: admission control sees the
     /// post-detach state but runs before any frame work).
     SessionAttach,
-    /// A stream's next frame is admitted (rank 3).
+    /// A stream's next frame is admitted (rank 2).
     FrameArrival,
     /// The frame's model load (or resident fast path) finished; inference
-    /// may start (rank 4).
+    /// may start (rank 3).
     LoadComplete,
     /// The frame's inference finished; the outcome can be committed
-    /// (rank 5).
+    /// (rank 4).
     InferenceComplete,
 }
 
 impl EventKind {
     /// All kinds, in rank order.
-    pub const ALL: [EventKind; 6] = [
-        EventKind::FaultEdge,
+    pub const ALL: [EventKind; 5] = [
         EventKind::SessionDetach,
         EventKind::SessionAttach,
         EventKind::FrameArrival,
@@ -93,19 +81,17 @@ impl EventKind {
     /// The kind's position in the same-tick firing order.
     pub const fn rank(self) -> u8 {
         match self {
-            EventKind::FaultEdge => 0,
-            EventKind::SessionDetach => 1,
-            EventKind::SessionAttach => 2,
-            EventKind::FrameArrival => 3,
-            EventKind::LoadComplete => 4,
-            EventKind::InferenceComplete => 5,
+            EventKind::SessionDetach => 0,
+            EventKind::SessionAttach => 1,
+            EventKind::FrameArrival => 2,
+            EventKind::LoadComplete => 3,
+            EventKind::InferenceComplete => 4,
         }
     }
 
     /// Stable lowercase label (used in trace CSV rows).
     pub const fn label(self) -> &'static str {
         match self {
-            EventKind::FaultEdge => "fault_edge",
             EventKind::SessionDetach => "session_detach",
             EventKind::SessionAttach => "session_attach",
             EventKind::FrameArrival => "frame_arrival",
@@ -181,12 +167,12 @@ impl<P> Ord for Slot<P> {
 /// use shift_core::des::{EventKind, EventQueue};
 ///
 /// let mut queue = EventQueue::new();
-/// queue.schedule(3, EventKind::FrameArrival, 1, "late");
-/// queue.schedule(0, EventKind::FrameArrival, 2, "early-hi-stream");
-/// queue.schedule(0, EventKind::FaultEdge, 0, "edge");
-/// queue.schedule(0, EventKind::FrameArrival, 2, "early-second");
+/// queue.schedule(3, EventKind::SessionAttach, 1, "late");
+/// queue.schedule(0, EventKind::SessionAttach, 2, "early-hi-stream");
+/// queue.schedule(0, EventKind::SessionDetach, 0, "detach");
+/// queue.schedule(0, EventKind::SessionAttach, 2, "early-second");
 /// let order: Vec<&str> = std::iter::from_fn(|| queue.pop().map(|e| e.payload)).collect();
-/// assert_eq!(order, ["edge", "early-hi-stream", "early-second", "late"]);
+/// assert_eq!(order, ["detach", "early-hi-stream", "early-second", "late"]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EventQueue<P> {
@@ -275,8 +261,7 @@ mod tests {
     #[test]
     fn ranks_follow_the_documented_order() {
         let ranks: Vec<u8> = EventKind::ALL.iter().map(|k| k.rank()).collect();
-        assert_eq!(ranks, [0, 1, 2, 3, 4, 5]);
-        assert_eq!(EventKind::FaultEdge.label(), "fault_edge");
+        assert_eq!(ranks, [0, 1, 2, 3, 4]);
         assert_eq!(EventKind::SessionDetach.label(), "session_detach");
         assert_eq!(EventKind::SessionAttach.label(), "session_attach");
     }
@@ -310,7 +295,7 @@ mod tests {
         queue.schedule(0, EventKind::LoadComplete, 3, "c");
         queue.schedule(0, EventKind::LoadComplete, 1, "a1");
         queue.schedule(0, EventKind::LoadComplete, 1, "a2");
-        queue.schedule(0, EventKind::FaultEdge, 9, "b");
+        queue.schedule(0, EventKind::SessionDetach, 9, "b");
         let drained: Vec<&str> = std::iter::from_fn(|| queue.pop().map(|e| e.payload)).collect();
         assert_eq!(drained, ["b", "a1", "a2", "c", "d"]);
         assert!(queue.is_empty());
@@ -333,9 +318,9 @@ mod tests {
     #[test]
     fn clear_keeps_sequence_numbers_unique() {
         let mut queue = EventQueue::new();
-        let first = queue.schedule(0, EventKind::FaultEdge, 0, ());
+        let first = queue.schedule(0, EventKind::SessionDetach, 0, ());
         queue.clear();
-        let second = queue.schedule(0, EventKind::FaultEdge, 0, ());
+        let second = queue.schedule(0, EventKind::SessionDetach, 0, ());
         assert_eq!(queue.len(), 1);
         assert!(second.seq > first.seq, "seq survives clear");
     }

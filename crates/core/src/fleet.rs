@@ -26,15 +26,28 @@
 //! knob trades strict fairness (admit the most-behind stream) against
 //! throughput (admit the stream whose accelerator frees up first).
 //!
-//! A fleet of one behaves exactly like [`ShiftRuntime`]: same decisions,
-//! same costs, zero queueing — `ShiftRuntime` is the single-stream special
-//! case the fleet composes.
+//! # The per-frame loop
+//!
+//! [`FleetRuntime::step`] is the only per-frame loop in the crate. A step
+//! advances the fault injector to the fleet's tick (an O(1) no-op between
+//! scripted edges), picks one stream from the *ready set* — the sorted
+//! indices of the streams with a frame pending, so drained and detached
+//! streams cost nothing — and runs that frame's three phases in place:
+//! admit (decide, re-plan around dropped accelerators, make a pair
+//! resident), infer, complete (commit pins, counters, load charges and the
+//! occupancy reservation). Only the completion phase commits, so a step that
+//! errors can be retried.
+//!
+//! [`ShiftRuntime`] is a one-slot fleet whose caller supplies each frame:
+//! its fault clock is the frame's own index instead of the fleet tick, and
+//! it never queues behind itself, so it makes the same decisions at the
+//! same costs as a batch fleet of one.
 //!
 //! [`ShiftRuntime`]: crate::runtime::ShiftRuntime
 
 use crate::characterize::Characterization;
 use crate::config::ShiftConfig;
-use crate::des::{EventKind, EventQueue, ExecutionMode, TraceEvent};
+use crate::des::{EventKind, TraceEvent};
 use crate::loader::DynamicModelLoader;
 use crate::runtime::{FrameOutcome, LoadCharge, ResilienceCounters, StreamAgent};
 use crate::scheduler::{CandidatePair, Decision};
@@ -112,7 +125,7 @@ pub struct StreamView<'a> {
     state: &'a StreamState,
 }
 
-impl StreamView<'_> {
+impl<'a> StreamView<'a> {
     /// The stream's label.
     pub fn name(&self) -> &str {
         &self.state.name
@@ -124,7 +137,7 @@ impl StreamView<'_> {
     }
 
     /// The stream's agent (for inspection).
-    pub fn agent(&self) -> &StreamAgent {
+    pub fn agent(&self) -> &'a StreamAgent {
         &self.state.agent
     }
 
@@ -221,9 +234,8 @@ enum CandidateOutcome {
     Skipped,
 }
 
-/// Everything the admission phase decides about one frame, carried between
-/// the lifecycle phases (and, in event-driven mode, inside the event queue)
-/// so that both execution modes run the exact same state transitions.
+/// Everything the admission phase decides about one frame, carried to the
+/// completion phase.
 #[derive(Debug, Clone)]
 struct AdmittedFrame {
     /// Whether a scripted fault window was active at admission.
@@ -238,32 +250,14 @@ struct AdmittedFrame {
     charge: LoadCharge,
 }
 
-/// Payloads of the events the event-driven fleet loop schedules.
-#[derive(Debug, Clone)]
-enum FleetEvent {
-    /// A scripted fault/recovery edge is due; fires `FaultInjector::advance`.
-    FaultEdge,
-    /// A stream's next frame enters the system.
-    FrameArrival { frame: Box<Frame> },
-    /// The frame's pair is resident; inference can run.
-    LoadComplete {
-        frame: Box<Frame>,
-        admitted: AdmittedFrame,
-    },
-    /// Inference finished; the outcome commits.
-    InferenceComplete {
-        frame: Box<Frame>,
-        admitted: AdmittedFrame,
-        report: InferenceReport,
-    },
-}
-
 /// Per-stream runtime state inside the fleet.
 #[derive(Debug, Clone)]
 struct StreamState {
     name: String,
     agent: StreamAgent,
-    stream: FrameStream,
+    /// The scenario being played; `None` for a slot whose caller supplies
+    /// every frame (the single-stream runtime's).
+    stream: Option<FrameStream>,
     next_frame: Option<Box<Frame>>,
     /// Virtual time at which the stream's next frame is submitted (the
     /// completion time of its previous frame).
@@ -309,20 +303,15 @@ pub struct FleetRuntime {
     arbiter: MemoryArbiter,
     streams: Vec<StreamState>,
     config: FleetConfig,
-    /// Optional scripted fault injector. In lockstep mode it is advanced
-    /// once per fleet step; in event-driven mode its plan's edges are
-    /// pre-scheduled as [`EventKind::FaultEdge`] events.
+    /// Optional scripted fault injector, advanced to the fleet tick at the
+    /// start of every step.
     injector: Option<FaultInjector>,
     /// Frames admitted so far: the fleet-wide discrete clock faults are
-    /// keyed on, and the `time` axis of every scheduled event.
+    /// keyed on, and the `time` axis of every scheduled session event.
     steps: u64,
-    /// Which inner loop drives the fleet (event-driven by default).
-    mode: ExecutionMode,
-    /// Pending events of the event-driven loop.
-    events: EventQueue<FleetEvent>,
-    /// Streams with a frame pending, ascending — the event-driven loop's
-    /// admission set. Kept in lockstep with `next_frame.is_some()` so
-    /// drained or idle streams cost nothing per step (O(active)).
+    /// Streams with a frame pending, ascending — the admission set. It
+    /// always equals the streams whose `next_frame` is `Some`, so drained
+    /// or idle streams cost nothing per step (O(active)).
     ready: Vec<usize>,
     /// Per-stream scheduling examinations performed by admission so far —
     /// the step-count hook the O(active) regression test asserts on.
@@ -358,7 +347,6 @@ impl FleetRuntime {
         for spec in specs {
             fleet.attach_stream(characterization, spec)?;
         }
-        fleet.prime_des();
         Ok(fleet)
     }
 
@@ -377,8 +365,6 @@ impl FleetRuntime {
             config,
             injector: None,
             steps: 0,
-            mode: ExecutionMode::default(),
-            events: EventQueue::new(),
             ready: Vec::new(),
             stream_polls: 0,
             trace: None,
@@ -406,19 +392,10 @@ impl FleetRuntime {
         spec: StreamSpec,
     ) -> Result<StreamHandle, ShiftError> {
         let mut agent = StreamAgent::new(characterization, spec.config)?;
-        let initial = agent.current_pair();
-        let protected = self.arbiter.pinned_models(initial.accelerator);
-        match self
-            .loader
-            .ensure_loaded_protected(&mut self.engine, initial, &protected)
-        {
-            Ok(outcome) => {
-                agent.charge_pending_load(outcome.load_time_s, outcome.load_energy_j);
-            }
-            Err(SocError::OutOfMemory { .. }) => {}
+        match self.preload(&mut agent) {
+            Ok(()) | Err(SocError::OutOfMemory { .. }) => {}
             Err(other) => return Err(other.into()),
         }
-        self.arbiter.pin(initial.model, initial.accelerator);
         let mut stream = spec.scenario.stream();
         // A resumed stream (live migration) starts mid-scenario: discard the
         // frames its previous incarnation already played.
@@ -427,13 +404,58 @@ impl FleetRuntime {
                 break;
             }
         }
-        let next_frame = stream.next().map(Box::new);
         let total_frames = spec.scenario.num_frames().saturating_sub(spec.start_frame);
-        let clock_s = self.makespan_s();
+        Ok(self.push_slot(spec.name, agent, Some(stream), total_frames))
+    }
+
+    /// Attaches a slot with no scenario of its own: its caller supplies every
+    /// frame through [`process_supplied`](Self::process_supplied). This is
+    /// the single-stream runtime's one slot. Unlike
+    /// [`attach_stream`](Self::attach_stream), an initial pair that cannot
+    /// be made resident is an error here, not a deferral.
+    pub(crate) fn attach_solo(
+        &mut self,
+        characterization: &Characterization,
+        config: ShiftConfig,
+    ) -> Result<StreamHandle, ShiftError> {
+        let mut agent = StreamAgent::new(characterization, config)?;
+        self.preload(&mut agent)?;
+        Ok(self.push_slot(String::new(), agent, None, 0))
+    }
+
+    /// Makes `agent`'s initial pair resident without evicting a model a peer
+    /// has pinned, and charges the load to the agent's first frame.
+    fn preload(&mut self, agent: &mut StreamAgent) -> Result<(), SocError> {
+        let initial = agent.current_pair();
+        let protected = self.arbiter.pinned_models(initial.accelerator);
+        let outcome = self
+            .loader
+            .ensure_loaded_protected(&mut self.engine, initial, &protected)?;
+        agent.charge_pending_load(outcome.load_time_s, outcome.load_energy_j);
+        Ok(())
+    }
+
+    /// Pins `agent`'s initial pair and appends its slot, entering the ready
+    /// set when the stream has a frame pending.
+    fn push_slot(
+        &mut self,
+        name: String,
+        agent: StreamAgent,
+        mut stream: Option<FrameStream>,
+        total_frames: usize,
+    ) -> StreamHandle {
+        let initial = agent.current_pair();
+        self.arbiter.pin(initial.model, initial.accelerator);
+        let next_frame = stream.as_mut().and_then(Iterator::next).map(Box::new);
         let index = self.streams.len();
-        let has_frame = next_frame.is_some();
+        if next_frame.is_some() {
+            // The new slot has the highest index, so the ready set stays
+            // sorted.
+            self.ready.push(index);
+        }
+        let clock_s = self.makespan_s();
         self.streams.push(StreamState {
-            name: spec.name,
+            name,
             agent,
             stream,
             next_frame,
@@ -443,10 +465,7 @@ impl FleetRuntime {
             resilience: ResilienceCounters::default(),
             detached: false,
         });
-        if has_frame {
-            self.insert_ready(index);
-        }
-        Ok(StreamHandle(index))
+        StreamHandle(index)
     }
 
     /// Charges an out-of-band cost (e.g. a live-migration transfer plus the
@@ -488,44 +507,28 @@ impl FleetRuntime {
         }
     }
 
-    /// Attaches a scripted fault plan: the injector is advanced once per
-    /// fleet step (keyed on the count of frames admitted so far) and applies
-    /// every fault through the shared engine's degradation surfaces. A
-    /// zero-fault plan leaves every outcome bit-identical to a run without
-    /// one.
+    /// Attaches a scripted fault plan: the injector is advanced at the start
+    /// of every fleet step (keyed on the count of frames admitted so far)
+    /// and applies every fault through the shared engine's degradation
+    /// surfaces. A zero-fault plan leaves every outcome bit-identical to a
+    /// run without one.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.injector = Some(FaultInjector::new(plan));
-        self.prime_des();
         self
-    }
-
-    /// Selects the fleet's inner loop ([`ExecutionMode::EventDriven`] is the
-    /// default). Both modes produce bit-identical outcomes — the lockstep
-    /// loop is retained as the differential-testing oracle.
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
-        self.prime_des();
-        self
-    }
-
-    /// The inner loop currently driving the fleet.
-    pub fn execution_mode(&self) -> ExecutionMode {
-        self.mode
     }
 
     /// Per-stream scheduling examinations performed by admission so far.
     ///
-    /// Every step, the lockstep loop examines all N streams (to find the
-    /// pending ones and rank them); the event-driven loop examines only the
-    /// ready set. The counter makes that O(N) vs O(active) difference
-    /// observable to tests without timing anything.
+    /// Every step examines exactly the ready set, so the counter grows by
+    /// the number of streams with a frame pending, never by the number of
+    /// slots. It makes that O(active) cost observable to tests without
+    /// timing anything.
     pub fn stream_polls(&self) -> u64 {
         self.stream_polls
     }
 
-    /// Starts recording an event trace ([`TraceEvent`] per lifecycle event;
-    /// both modes record frame events identically). Retrieval via
-    /// [`FleetRuntime::take_event_trace`].
+    /// Starts recording an event trace (three [`TraceEvent`] stamps per
+    /// frame). Retrieval via [`FleetRuntime::take_event_trace`].
     pub fn enable_event_trace(&mut self) {
         if self.trace.is_none() {
             self.trace = Some(Vec::new());
@@ -610,7 +613,7 @@ impl FleetRuntime {
 
     /// Whether every stream has drained its scenario.
     pub fn is_done(&self) -> bool {
-        self.streams.iter().all(|s| s.next_frame.is_none())
+        self.ready.is_empty()
     }
 
     /// Virtual completion time of the last frame processed so far (the
@@ -622,200 +625,61 @@ impl FleetRuntime {
     /// Admits and processes one frame from one stream. Returns `Ok(None)`
     /// when every stream has finished.
     ///
+    /// A step advances the fault injector to the current tick, picks one
+    /// stream from the ready set and runs its next frame through the admit →
+    /// infer → complete phases. Faults land before admission, so every
+    /// stream observes the same platform state a sequential replay would;
+    /// this happens even when the fleet is drained. A step that errors puts
+    /// the frame back, so a caller that handles the error can keep stepping
+    /// (re-advancing the injector to the same tick is idempotent).
+    ///
     /// # Errors
     ///
     /// Propagates unrecoverable loading and execution errors; memory
     /// pressure and per-pair incompatibilities are handled by degrading to
     /// the next-best candidate, not reported as errors.
     pub fn step(&mut self) -> Result<Option<FleetFrameOutcome>, ShiftError> {
-        match self.mode {
-            ExecutionMode::Lockstep => self.step_lockstep(),
-            ExecutionMode::EventDriven => self.step_event_driven(),
-        }
-    }
-
-    /// The original inner loop: poll the injector, scan every stream.
-    fn step_lockstep(&mut self) -> Result<Option<FleetFrameOutcome>, ShiftError> {
-        // Scripted platform faults land at the step boundary, before
-        // admission, so every stream observes the same platform state a
-        // sequential replay would. Re-running a failed step re-advances to
-        // the same frame, which is idempotent.
-        if let Some(injector) = self.injector.as_mut() {
-            injector.advance(self.steps, &mut self.engine);
-        }
-        let candidates: Vec<usize> = (0..self.streams.len())
-            .filter(|&i| self.streams[i].next_frame.is_some())
-            .collect();
-        // The drained-stream scan above is admission work too; the ranking
-        // pass inside `select_stream` counts the candidates themselves.
-        self.stream_polls += (self.streams.len() - candidates.len()) as u64;
-        let Some(index) = self.select_stream(&candidates) else {
+        self.advance_injector(self.steps);
+        // Only the ready set is examined; drained and detached streams cost
+        // nothing here.
+        self.stream_polls += self.ready.len() as u64;
+        let Some(index) = self.select_stream() else {
             return Ok(None);
         };
         let frame = self.streams[index]
             .next_frame
             .take()
-            .expect("admission only selects streams with a pending frame");
-        // On error the frame is put back, so the stream is not silently
-        // drained and a caller that handles the error can keep stepping.
-        let outcome = match self.process_stream_frame(index, &frame) {
+            .expect("ready streams have a pending frame");
+        let outcome = match self.run_frame(index, &frame) {
             Ok(outcome) => outcome,
             Err(err) => {
                 self.streams[index].next_frame = Some(frame);
                 return Err(err);
             }
         };
-        self.finish_step(index);
+        let state = &mut self.streams[index];
+        state.next_frame = state.stream.as_mut().and_then(Iterator::next).map(Box::new);
+        if state.next_frame.is_none() {
+            let slot = self
+                .ready
+                .binary_search(&index)
+                .expect("admission picks from the ready set");
+            self.ready.remove(slot);
+        }
         Ok(Some(outcome))
     }
 
-    /// The discrete-event inner loop. One step = fire the due fault edges,
-    /// admit one frame from the ready set, and run its lifecycle events
-    /// (arrival → load-complete → inference-complete) off the queue.
-    ///
-    /// Events are keyed on the discrete admission tick, not on virtual
-    /// seconds: admission order is decided by the fairness policy over live
-    /// occupancy/lag state, so replaying the lockstep tick order — with the
-    /// documented `(time, rank, stream, seq)` tie-break — is precisely what
-    /// keeps the two modes bit-identical (the differential harness enforces
-    /// this). The payoff is the ready set: drained streams leave it, so a
-    /// step costs O(active streams + due events), not O(N).
-    fn step_event_driven(&mut self) -> Result<Option<FleetFrameOutcome>, ShiftError> {
-        let tick = self.steps;
-        // Fault edges scheduled at or before this tick fire first — the same
-        // boundary the lockstep loop advances the injector on. This happens
-        // even when the fleet is drained, matching lockstep's final
-        // advance-then-return-None step.
-        self.fire_due_fault_edges(tick);
-        // Only the ready set is examined (`select_stream` counts it into
-        // `stream_polls`); drained and idle streams cost nothing here.
-        let ready = std::mem::take(&mut self.ready);
-        let picked = self.select_stream(&ready);
-        self.ready = ready;
-        let Some(index) = picked else {
-            return Ok(None);
-        };
-        let slot = self
-            .ready
-            .binary_search(&index)
-            .expect("admission picks from the ready set");
-        self.ready.remove(slot);
-        let frame = self.streams[index]
-            .next_frame
-            .take()
-            .expect("ready streams have a pending frame");
-        self.events.schedule(
-            tick,
-            EventKind::FrameArrival,
-            index as u32,
-            FleetEvent::FrameArrival { frame },
-        );
-        while let Some(event) = self.events.pop() {
-            debug_assert!(event.key.time <= tick, "frame lifecycle stays on its tick");
-            match event.payload {
-                FleetEvent::FaultEdge => self.advance_injector(tick),
-                FleetEvent::FrameArrival { frame } => match self.admit_frame(index, &frame) {
-                    Ok(admitted) => {
-                        self.events.schedule(
-                            tick,
-                            EventKind::LoadComplete,
-                            index as u32,
-                            FleetEvent::LoadComplete { frame, admitted },
-                        );
-                    }
-                    Err(err) => {
-                        self.requeue_frame(index, frame);
-                        return Err(err);
-                    }
-                },
-                FleetEvent::LoadComplete { frame, admitted } => {
-                    match self.run_frame_inference(&admitted, &frame) {
-                        Ok(report) => {
-                            self.events.schedule(
-                                tick,
-                                EventKind::InferenceComplete,
-                                index as u32,
-                                FleetEvent::InferenceComplete {
-                                    frame,
-                                    admitted,
-                                    report,
-                                },
-                            );
-                        }
-                        Err(err) => {
-                            self.requeue_frame(index, frame);
-                            return Err(err);
-                        }
-                    }
-                }
-                FleetEvent::InferenceComplete {
-                    frame,
-                    admitted,
-                    report,
-                } => {
-                    let outcome = self.complete_frame(index, admitted, &frame, &report);
-                    self.finish_step(index);
-                    if self.streams[index].next_frame.is_some() {
-                        self.insert_ready(index);
-                    }
-                    return Ok(Some(outcome));
-                }
-            }
-        }
-        unreachable!("the admitted frame's lifecycle always completes or errors")
-    }
-
-    /// Commits the bookkeeping shared by both loops after a successful
-    /// frame: advance the stream and the fleet clock.
-    fn finish_step(&mut self, index: usize) {
-        let state = &mut self.streams[index];
-        state.processed += 1;
-        state.next_frame = state.stream.next().map(Box::new);
-        self.steps += 1;
-    }
-
-    /// Restores an errored frame so the caller can retry the step
-    /// (event-driven path; the stream re-enters the ready set).
-    fn requeue_frame(&mut self, index: usize, frame: Box<Frame>) {
-        self.streams[index].next_frame = Some(frame);
-        self.insert_ready(index);
-    }
-
-    /// Inserts `index` into the sorted ready set (idempotent).
-    fn insert_ready(&mut self, index: usize) {
-        if let Err(slot) = self.ready.binary_search(&index) {
-            self.ready.insert(slot, index);
-        }
-    }
-
-    /// (Re)builds the event-driven loop's state: the ready set from the
-    /// streams with a pending frame, and one scheduled [`EventKind::FaultEdge`]
-    /// per distinct edge frame of the attached fault plan. Safe to call
-    /// between steps at any point — `FaultInjector::advance` is idempotent,
-    /// so edges that already fired re-fire as no-ops.
-    fn prime_des(&mut self) {
-        self.events.clear();
-        self.ready = (0..self.streams.len())
-            .filter(|&i| self.streams[i].next_frame.is_some())
-            .collect();
-        if let Some(injector) = &self.injector {
-            for frame in injector.plan().edge_frames() {
-                self.events
-                    .schedule(frame, EventKind::FaultEdge, 0, FleetEvent::FaultEdge);
-            }
-        }
-    }
-
-    /// Pops and fires every fault edge due at or before `tick`.
-    fn fire_due_fault_edges(&mut self, tick: u64) {
-        while self
-            .events
-            .peek()
-            .is_some_and(|key| key.time <= tick && key.rank == EventKind::FaultEdge.rank())
-        {
-            let _ = self.events.pop();
-            self.advance_injector(tick);
-        }
+    /// Processes a frame the caller supplies on a slot attached with
+    /// [`attach_solo`](Self::attach_solo). The injector advances to the
+    /// frame's own index — the single-stream fault clock — and the frame
+    /// then runs through the same phases as a [`step`](Self::step)'s.
+    pub(crate) fn process_supplied(
+        &mut self,
+        handle: StreamHandle,
+        frame: &Frame,
+    ) -> Result<FleetFrameOutcome, ShiftError> {
+        self.advance_injector(frame.index as u64);
+        self.run_frame(handle.0, frame)
     }
 
     /// Advances the injector to `tick` (a no-op between scripted edges).
@@ -839,18 +703,14 @@ impl FleetRuntime {
         Ok(outcomes)
     }
 
-    /// Selects the stream to admit next from `candidates` (stream indices,
-    /// ascending, each with a pending frame): the argmin of
+    /// Selects the stream to admit next from the ready set: the argmin of
     /// `fairness * lag + (1 - fairness) * wait`, where `lag` ranks streams
     /// by frames processed (fewest first) and `wait` ranks them by the
     /// queueing delay their current accelerator would charge, both
-    /// normalized to `[0, 1]` over the candidate set. Ties break on the
-    /// lowest stream index, keeping admission fully deterministic. Both
-    /// execution modes rank through this one function — the lockstep loop
-    /// passes the full pending scan, the event-driven loop its ready set —
-    /// so admission order cannot diverge between them.
-    fn select_stream(&mut self, candidates: &[usize]) -> Option<usize> {
-        self.stream_polls += candidates.len() as u64;
+    /// normalized to `[0, 1]` over the ready set. Ties break on the lowest
+    /// stream index, keeping admission fully deterministic.
+    fn select_stream(&self) -> Option<usize> {
+        let candidates = &self.ready;
         if candidates.is_empty() {
             return None;
         }
@@ -896,21 +756,23 @@ impl FleetRuntime {
         best.map(|(_, index)| index)
     }
 
-    /// Processes `frame` on stream `index` against the shared engine — the
-    /// lockstep composition of the three lifecycle phases. The event-driven
-    /// loop runs the *same* phases, routed through the event queue, which is
-    /// what makes the two modes bit-identical by construction.
-    fn process_stream_frame(
-        &mut self,
-        index: usize,
-        frame: &Frame,
-    ) -> Result<FleetFrameOutcome, ShiftError> {
+    /// Runs `frame` on stream `index` through the three phases — admit,
+    /// infer, complete — and advances the stream's frame count and the fleet
+    /// clock. Only the completion phase commits, so an error leaves the
+    /// pins, the resilience counters and the stream's pending load charge
+    /// as they were.
+    fn run_frame(&mut self, index: usize, frame: &Frame) -> Result<FleetFrameOutcome, ShiftError> {
         let admitted = self.admit_frame(index, frame)?;
-        let report = self.run_frame_inference(&admitted, frame)?;
-        Ok(self.complete_frame(index, admitted, frame, &report))
+        let report =
+            self.engine
+                .run_inference(admitted.pair.model, admitted.pair.accelerator, frame)?;
+        let outcome = self.complete_frame(index, admitted, frame, &report);
+        self.streams[index].processed += 1;
+        self.steps += 1;
+        Ok(outcome)
     }
 
-    /// Lifecycle phase 1 — admission: decide (re-planning around dropped
+    /// The admission phase: decide (re-planning around dropped
     /// accelerators) and make a pair resident, without mutating pins or
     /// per-stream counters (so an error leaves the fleet retryable).
     fn admit_frame(&mut self, index: usize, frame: &Frame) -> Result<AdmittedFrame, ShiftError> {
@@ -947,19 +809,7 @@ impl FleetRuntime {
         })
     }
 
-    /// Lifecycle phase 2 — inference on the shared engine with the admitted
-    /// pair.
-    fn run_frame_inference(
-        &mut self,
-        admitted: &AdmittedFrame,
-        frame: &Frame,
-    ) -> Result<InferenceReport, ShiftError> {
-        Ok(self
-            .engine
-            .run_inference(admitted.pair.model, admitted.pair.accelerator, frame)?)
-    }
-
-    /// Lifecycle phase 3 — completion: commit the pin move, resilience
+    /// The completion phase: commit the pin move, resilience
     /// counters, load charges, the occupancy reservation and the agent
     /// update. Nothing here can fail, so an error in the earlier phases
     /// leaves the arbiter refcounts and the stream's pending costs untouched
@@ -984,9 +834,7 @@ impl FleetRuntime {
         }
         if fault_active {
             self.streams[index].resilience.fault_frames += 1;
-            if pair != decision.pair
-                && crate::runtime::fault_on_decided_pair(&self.engine, decision.pair)
-            {
+            if pair != decision.pair && fault_on_decided_pair(&self.engine, decision.pair) {
                 self.streams[index].resilience.degraded_frames += 1;
             }
         }
@@ -1131,7 +979,7 @@ impl FleetRuntime {
         // skipped without touching the pool: `ensure_loaded` would evict
         // every unprotected resident before failing, and no amount of
         // unpinning could help.
-        if !crate::runtime::can_ever_fit(&self.engine, pair) {
+        if !can_ever_fit(&self.engine, pair) {
             return Ok(CandidateOutcome::Skipped);
         }
         if pair == old && self.engine.is_loaded(pair.model, pair.accelerator) {
@@ -1160,10 +1008,39 @@ impl FleetRuntime {
     }
 }
 
+/// Whether the decided pair is unusable because of an injected fault on its
+/// *own* resources — a dropped-out (administratively fenced) accelerator or
+/// a squeezed pool — as opposed to a coincident thermal trip or peer memory
+/// contention, which are not injected-fault exposure. Used to attribute the
+/// resilience counters precisely while another, unrelated fault window
+/// (e.g. a telemetry glitch) is active.
+fn fault_on_decided_pair(engine: &ExecutionEngine, decided: CandidatePair) -> bool {
+    engine.is_administratively_offline(decided.accelerator)
+        || engine.memory_reservation(decided.accelerator) > 0.0
+}
+
+/// Whether `pair`'s model is already resident, or could fit its
+/// accelerator's pool even when empty (accounting for any fault-injected
+/// reservation). The degrade walk checks this before loading, because the
+/// loader's eviction loop would otherwise empty the pool on a doomed
+/// candidate before reporting `OutOfMemory`.
+fn can_ever_fit(engine: &ExecutionEngine, pair: CandidatePair) -> bool {
+    if engine.is_loaded(pair.model, pair.accelerator) {
+        return true;
+    }
+    let Some(spec) = engine.zoo().get(pair.model) else {
+        return false;
+    };
+    engine
+        .pool(pair.accelerator)
+        .map(|pool| pool.can_ever_fit(spec.load.memory_mb))
+        .unwrap_or(false)
+}
+
 /// One builder for every runtime the crate offers — batch fleets, the
 /// single-stream runtime and the long-running session service — replacing
-/// the `FleetRuntime::new(...)` + `with_fault_plan` + `with_execution_mode`
-/// call chains that used to be hand-assembled at every call site.
+/// the `FleetRuntime::new(...)` + `with_fault_plan` call chains that used to
+/// be hand-assembled at every call site.
 ///
 /// ```
 /// use shift_core::prelude::*;
@@ -1184,7 +1061,6 @@ impl FleetRuntime {
 ///         Scenario::scenario_3().with_num_frames(10),
 ///         ShiftConfig::paper_defaults(),
 ///     ))
-///     .execution_mode(ExecutionMode::EventDriven)
 ///     .build()?;
 /// assert_eq!(fleet.run_to_completion()?.len(), 10);
 /// # Ok::<(), shift_core::ShiftError>(())
@@ -1196,7 +1072,6 @@ pub struct FleetBuilder<'a> {
     pub(crate) config: FleetConfig,
     pub(crate) specs: Vec<StreamSpec>,
     pub(crate) fault_plan: Option<FaultPlan>,
-    pub(crate) mode: ExecutionMode,
 }
 
 impl<'a> FleetBuilder<'a> {
@@ -1208,7 +1083,6 @@ impl<'a> FleetBuilder<'a> {
             config: FleetConfig::default(),
             specs: Vec::new(),
             fault_plan: None,
-            mode: ExecutionMode::default(),
         }
     }
 
@@ -1237,13 +1111,6 @@ impl<'a> FleetBuilder<'a> {
         self
     }
 
-    /// Selects the inner loop (see [`FleetRuntime::with_execution_mode`];
-    /// event-driven is the default).
-    pub fn execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Builds the batch fleet runtime.
     ///
     /// # Errors
@@ -1258,7 +1125,7 @@ impl<'a> FleetBuilder<'a> {
         if let Some(plan) = self.fault_plan {
             fleet = fleet.with_fault_plan(plan);
         }
-        Ok(fleet.with_execution_mode(self.mode))
+        Ok(fleet)
     }
 
     /// Builds a single-stream [`ShiftRuntime`](crate::runtime::ShiftRuntime)
@@ -1505,53 +1372,64 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_and_event_driven_modes_are_bit_identical_under_faults() {
+    fn ready_set_tracks_pending_streams_through_faults_attach_and_detach() {
         let characterization = characterization(21);
-        let run = |mode: ExecutionMode| {
-            let specs = vec![
+        let specs: Vec<StreamSpec> = (0..5)
+            .map(|i| {
                 StreamSpec::new(
-                    "a",
-                    Scenario::scenario_1().with_num_frames(30),
+                    format!("s{i}"),
+                    Scenario::scenario_1()
+                        .with_num_frames(8 + 4 * i)
+                        .with_seed(60 + i as u64),
                     ShiftConfig::paper_defaults(),
-                ),
-                StreamSpec::new(
-                    "b",
-                    Scenario::scenario_4().with_num_frames(24),
-                    ShiftConfig::paper_defaults(),
-                ),
-                StreamSpec::new(
-                    "c",
-                    Scenario::scenario_3().with_num_frames(18),
-                    ShiftConfig::paper_defaults().with_accuracy_goal(0.4),
-                ),
-            ];
-            let plan = shift_soc::FaultPlan::generate(9, &shift_soc::FaultSpec::mixed(72));
-            let mut fleet = FleetRuntime::new(
-                engine(21),
-                &characterization,
-                FleetConfig::default().with_fairness(0.6),
-                specs,
-            )
-            .unwrap()
-            .with_fault_plan(plan)
-            .with_execution_mode(mode);
-            assert_eq!(fleet.execution_mode(), mode);
-            let outcomes = fleet.run_to_completion().unwrap();
-            let resilience: Vec<ResilienceCounters> = fleet
-                .handles()
-                .into_iter()
-                .map(|h| fleet.stream(h).resilience())
-                .collect();
-            (outcomes, resilience, fleet.makespan_s())
+                )
+            })
+            .collect();
+        let plan = shift_soc::FaultPlan::generate(9, &shift_soc::FaultSpec::mixed(100));
+        let mut fleet = FleetBuilder::new(engine(21), &characterization)
+            .config(FleetConfig::default().with_fairness(0.6))
+            .streams(specs)
+            .fault_plan(plan)
+            .build()
+            .unwrap();
+        let pending = |fleet: &FleetRuntime| -> Vec<usize> {
+            (0..fleet.streams.len())
+                .filter(|&i| fleet.streams[i].next_frame.is_some())
+                .collect()
         };
-        let lockstep = run(ExecutionMode::Lockstep);
-        let event_driven = run(ExecutionMode::EventDriven);
-        assert_eq!(lockstep, event_driven);
-        assert_eq!(
-            format!("{:?}", lockstep).into_bytes(),
-            format!("{:?}", event_driven).into_bytes(),
-            "byte-identical debug serialization"
-        );
+        assert_eq!(fleet.ready, pending(&fleet));
+        let mut late = None;
+        let detached = StreamHandle::from_index(1);
+        for step in 0.. {
+            if step == 12 {
+                let spec = StreamSpec::new(
+                    "late",
+                    Scenario::scenario_4().with_num_frames(10).with_seed(77),
+                    ShiftConfig::paper_defaults().with_accuracy_goal(0.4),
+                );
+                late = Some(fleet.attach_stream(&characterization, spec).unwrap());
+                assert_eq!(fleet.ready, pending(&fleet));
+            }
+            if step == 20 {
+                fleet.detach_stream(detached);
+                assert_eq!(fleet.ready, pending(&fleet));
+            }
+            let ready = fleet.ready.len() as u64;
+            let polls = fleet.stream_polls();
+            let outcome = fleet.step().unwrap();
+            assert_eq!(
+                fleet.stream_polls() - polls,
+                ready,
+                "step {step} examines exactly the ready set"
+            );
+            assert_eq!(fleet.ready, pending(&fleet), "after step {step}");
+            if outcome.is_none() {
+                break;
+            }
+        }
+        assert!(fleet.is_done());
+        assert_eq!(fleet.stream(late.unwrap()).frames_processed(), 10);
+        assert!(fleet.stream(detached).frames_processed() < 12);
     }
 
     #[test]
@@ -1614,34 +1492,29 @@ mod tests {
                 )
             })
             .collect();
-        let run = |mode: ExecutionMode| {
-            let mut fleet = FleetRuntime::new(
-                engine(23),
-                &characterization,
-                FleetConfig::round_robin(),
-                specs.clone(),
-            )
-            .unwrap()
-            .with_execution_mode(mode);
-            // Drain the two short streams plus one round of the others.
-            let short = [StreamHandle::from_index(4), StreamHandle::from_index(5)];
-            while !fleet.is_done()
-                && short
-                    .iter()
-                    .map(|&h| fleet.stream(h).frames_processed())
-                    .sum::<usize>()
-                    < 4
-            {
-                fleet.step().unwrap();
-            }
-            let before = fleet.stream_polls();
+        let mut fleet = FleetRuntime::new(
+            engine(23),
+            &characterization,
+            FleetConfig::round_robin(),
+            specs,
+        )
+        .unwrap();
+        // Drain the two short streams plus one round of the others.
+        let short = [StreamHandle::from_index(4), StreamHandle::from_index(5)];
+        while !fleet.is_done()
+            && short
+                .iter()
+                .map(|&h| fleet.stream(h).frames_processed())
+                .sum::<usize>()
+                < 4
+        {
             fleet.step().unwrap();
-            fleet.stream_polls() - before
-        };
-        // Once streams 4 and 5 are drained, a lockstep step still scans all
-        // 6 streams; an event-driven step examines only the 4 active ones.
-        assert_eq!(run(ExecutionMode::Lockstep), 6);
-        assert_eq!(run(ExecutionMode::EventDriven), 4);
+        }
+        // Once streams 4 and 5 are drained, a step examines only the 4
+        // active streams, not all 6 slots.
+        let before = fleet.stream_polls();
+        fleet.step().unwrap();
+        assert_eq!(fleet.stream_polls() - before, 4);
     }
 
     #[test]
@@ -1707,13 +1580,11 @@ mod tests {
             specs(),
         )
         .unwrap()
-        .with_fault_plan(plan.clone())
-        .with_execution_mode(ExecutionMode::Lockstep);
+        .with_fault_plan(plan.clone());
         let mut built = FleetBuilder::new(engine(32), &characterization)
             .config(FleetConfig::default().with_fairness(0.7))
             .streams(specs())
             .fault_plan(plan)
-            .execution_mode(ExecutionMode::Lockstep)
             .build()
             .unwrap();
         assert_eq!(

@@ -67,7 +67,7 @@ pub use cluster::{
 };
 pub use config::{Knobs, ShiftConfig};
 pub use context::ContextDetector;
-pub use des::{Event, EventKey, EventKind, EventQueue, ExecutionMode, TraceEvent};
+pub use des::{Event, EventKey, EventKind, EventQueue, TraceEvent};
 pub use fleet::{
     FleetBuilder, FleetConfig, FleetFrameOutcome, FleetRuntime, StreamHandle, StreamSpec,
     StreamView,
@@ -90,7 +90,7 @@ pub mod prelude {
     pub use crate::characterize::{characterize, Characterization};
     pub use crate::cluster::{ClusterBuilder, ClusterPolicy, ClusterScheduler, ClusterSessionId};
     pub use crate::config::{Knobs, ShiftConfig};
-    pub use crate::des::{EventKind, EventQueue, ExecutionMode};
+    pub use crate::des::{EventKind, EventQueue};
     pub use crate::fleet::{
         FleetBuilder, FleetConfig, FleetFrameOutcome, FleetRuntime, StreamHandle, StreamSpec,
     };

@@ -8,7 +8,7 @@
 //! [`SessionRequest`] messages in, typed [`SessionEvent`] messages out, with
 //! attach/detach scheduled as first-class discrete events
 //! ([`EventKind::SessionAttach`] / [`EventKind::SessionDetach`]) on the same
-//! clock the fleet's fault edges fire on.
+//! tick clock the fleet's fault injector advances on.
 //!
 //! # SLO-aware admission
 //!
@@ -43,8 +43,8 @@
 //! tick ([`FleetService::schedule`]), and all admission projections are pure
 //! functions of current state. A fixed-set service run — every session
 //! attached up front, none detached — is **bit-identical** to
-//! [`FleetRuntime::run_to_completion`] on the same specs, in both execution
-//! modes and at any artifact worker count (locked by golden tests).
+//! [`FleetRuntime::run_to_completion`] on the same specs, at any artifact
+//! worker count (locked by golden tests).
 //!
 //! [`EventKind::SessionAttach`]: crate::des::EventKind::SessionAttach
 //! [`EventKind::SessionDetach`]: crate::des::EventKind::SessionDetach
@@ -482,9 +482,8 @@ impl FleetService {
             config,
             specs,
             fault_plan,
-            mode,
         } = builder;
-        let mut fleet = FleetRuntime::empty(engine, config).with_execution_mode(mode);
+        let mut fleet = FleetRuntime::empty(engine, config);
         if let Some(plan) = fault_plan {
             fleet = fleet.with_fault_plan(plan);
         }
@@ -1034,7 +1033,6 @@ impl FleetBuilder<'_> {
 mod tests {
     use super::*;
     use crate::characterize::characterize;
-    use crate::des::ExecutionMode;
     use crate::fleet::{FleetConfig, FleetRuntime};
     use shift_models::{ModelZoo, ResponseModel};
     use shift_soc::{AcceleratorId, ExecutionEngine, Platform};
@@ -1075,32 +1073,28 @@ mod tests {
     #[test]
     fn fixed_set_service_is_bit_identical_to_the_batch_runtime() {
         let characterization = characterization(41);
-        for mode in [ExecutionMode::Lockstep, ExecutionMode::EventDriven] {
-            let mut batch = FleetRuntime::new(
-                engine(41),
-                &characterization,
-                FleetConfig::round_robin(),
-                specs(),
-            )
-            .unwrap()
-            .with_execution_mode(mode);
-            let batch_outcomes = batch.run_to_completion().unwrap();
+        let mut batch = FleetRuntime::new(
+            engine(41),
+            &characterization,
+            FleetConfig::round_robin(),
+            specs(),
+        )
+        .unwrap();
+        let batch_outcomes = batch.run_to_completion().unwrap();
 
-            let mut service = FleetBuilder::new(engine(41), &characterization)
-                .streams(specs())
-                .execution_mode(mode)
-                .build_service(ServicePolicy::defaults())
-                .unwrap();
-            let service_outcomes = service.run_until_idle().unwrap();
+        let mut service = FleetBuilder::new(engine(41), &characterization)
+            .streams(specs())
+            .build_service(ServicePolicy::defaults())
+            .unwrap();
+        let service_outcomes = service.run_until_idle().unwrap();
 
-            assert_eq!(service_outcomes, batch_outcomes);
-            assert_eq!(
-                format!("{:?}", service_outcomes).into_bytes(),
-                format!("{:?}", batch_outcomes).into_bytes(),
-                "byte-identical debug serialization ({mode:?})"
-            );
-            assert_eq!(service.fleet().makespan_s(), batch.makespan_s());
-        }
+        assert_eq!(service_outcomes, batch_outcomes);
+        assert_eq!(
+            format!("{:?}", service_outcomes).into_bytes(),
+            format!("{:?}", batch_outcomes).into_bytes(),
+            "byte-identical debug serialization"
+        );
+        assert_eq!(service.fleet().makespan_s(), batch.makespan_s());
     }
 
     #[test]

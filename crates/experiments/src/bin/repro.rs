@@ -51,10 +51,7 @@
 //! and the bench suite to its CI sizing, and implies `--quick`; `--seed N`
 //! changes the simulation seed;
 //! `--jobs N` sets the parallel experiment executor's worker count (default:
-//! available parallelism — artifacts are byte-identical for any value);
-//! `--lockstep` drives fleet runs with the pre-DES lockstep loop instead of
-//! the event-driven default (artifacts are byte-identical either way — the
-//! differential test suite enforces it).
+//! available parallelism — artifacts are byte-identical for any value).
 
 use shift_experiments::ExperimentContext;
 use shift_experiments::{
@@ -204,7 +201,6 @@ fn main() -> ExitCode {
 
     let mut quick = false;
     let mut smoke = false;
-    let mut lockstep = false;
     let mut seed = 2024u64;
     let mut jobs = executor::default_jobs();
     let mut budget: Option<usize> = None;
@@ -218,7 +214,6 @@ fn main() -> ExitCode {
                 smoke = true;
                 quick = true;
             }
-            "--lockstep" => lockstep = true,
             "--seed" => {
                 let Some(value) = iter.next() else {
                     eprintln!("--seed requires a value");
@@ -291,15 +286,12 @@ fn main() -> ExitCode {
         "# building experiment context (seed {seed}, {} mode, {jobs} jobs)...",
         if quick { "quick" } else { "full" }
     );
-    let mut ctx = if quick {
+    let ctx = if quick {
         ExperimentContext::quick(seed)
     } else {
         ExperimentContext::new(seed)
     }
     .with_jobs(jobs);
-    if lockstep {
-        ctx = ctx.with_execution_mode(shift_core::ExecutionMode::Lockstep);
-    }
 
     // The stress timing JSON this invocation itself produced, if any; the
     // `bench` artifact only folds stress timings with that provenance (held
@@ -530,7 +522,7 @@ fn main() -> ExitCode {
 
 fn print_help() {
     eprintln!(
-        "usage: repro [--quick] [--smoke] [--lockstep] [--seed N] [--jobs N] \
+        "usage: repro [--quick] [--smoke] [--seed N] [--jobs N] \
          [--budget N] [--corpus-out DIR] [artifact...]\n       \
          repro bench-compare <baseline.json> <current.json> [--threshold F]\n       \
          repro check-stress <BENCH_stress.json>"
@@ -546,10 +538,6 @@ fn print_help() {
          short diurnal trace and `bench` to CI sizing"
     );
     eprintln!("--jobs N runs sweeps on N workers (artifacts stay byte-identical for any N)");
-    eprintln!(
-        "--lockstep drives fleet runs with the pre-DES lockstep loop (artifacts stay \
-         byte-identical to the default event-driven loop)"
-    );
     eprintln!(
         "--budget N caps `hunt` mutant evaluations; --corpus-out DIR additionally writes \
          each minimized hunt finding as a replayable .case file"

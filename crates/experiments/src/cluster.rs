@@ -16,9 +16,8 @@
 //! ([`shift_metrics::ClusterCapacityRow`]). Sizes run as cells on the
 //! deterministic parallel executor and reduce in size order, and the
 //! scheduler adds no clocks or randomness beyond the seeded trace, so the
-//! artifact is **byte-identical for any `--jobs` count and in both
-//! execution modes** (`--lockstep` included) — the same contract every
-//! artifact in this workspace honours.
+//! artifact is **byte-identical for any `--jobs` count** — the same
+//! contract every artifact in this workspace honours.
 
 use crate::fleet::roster;
 use crate::{ExperimentContext, ExperimentError};
@@ -194,12 +193,9 @@ pub fn run_size(
     characterizations: &BTreeMap<DeviceClass, Characterization>,
 ) -> Result<ClusterSizePoint, ExperimentError> {
     let classes = node_classes(size);
-    let mut builder = ClusterBuilder::new()
-        .policy(
-            ClusterPolicy::defaults()
-                .with_rebalance(options.rebalance_period, options.rebalance_gap),
-        )
-        .execution_mode(ctx.execution_mode());
+    let mut builder = ClusterBuilder::new().policy(
+        ClusterPolicy::defaults().with_rebalance(options.rebalance_period, options.rebalance_gap),
+    );
     for &class in &classes {
         builder = builder.node(
             class,
@@ -320,7 +316,6 @@ pub fn generate(ctx: &ExperimentContext) -> Result<Table, ExperimentError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shift_core::ExecutionMode;
     use shift_metrics::CLUSTER_CSV_HEADER;
 
     #[test]
@@ -374,15 +369,13 @@ mod tests {
     #[test]
     fn artifact_covers_every_size_and_is_byte_identical() {
         let options = ClusterOptions::smoke();
-        let run = |jobs: usize, mode: ExecutionMode| {
-            let ctx = ExperimentContext::quick(44)
-                .with_jobs(jobs)
-                .with_execution_mode(mode);
+        let run = |jobs: usize| {
+            let ctx = ExperimentContext::quick(44).with_jobs(jobs);
             artifact(&ctx, &options).unwrap().csv.into_bytes()
         };
-        let reference = run(1, ExecutionMode::EventDriven);
-        assert_eq!(reference, run(4, ExecutionMode::EventDriven));
-        assert_eq!(reference, run(2, ExecutionMode::Lockstep));
+        let reference = run(1);
+        assert_eq!(reference, run(4));
+        assert_eq!(reference, run(2));
         let csv = String::from_utf8(reference).unwrap();
         assert!(csv.starts_with(CLUSTER_CSV_HEADER));
         assert_eq!(csv.lines().count(), 1 + MAX_CLUSTER_SIZE);

@@ -97,7 +97,6 @@ pub fn run_specs(
     let mut fleet = FleetBuilder::new(ctx.engine(), ctx.characterization())
         .config(FleetConfig::round_robin())
         .streams(specs)
-        .execution_mode(ctx.execution_mode())
         .build()?;
     let outcomes = fleet.run_to_completion()?;
 

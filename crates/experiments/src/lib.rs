@@ -82,9 +82,9 @@ pub mod workloads;
 use shift_baselines::{
     MarlinConfig, MarlinRuntime, OracleObjective, OracleRuntime, SingleModelRuntime,
 };
+use shift_core::des::ExecutionMode;
 use shift_core::{
-    characterize, Characterization, ExecutionMode, FrameOutcome, ShiftConfig, ShiftError,
-    ShiftRuntime,
+    characterize, Characterization, FrameOutcome, ShiftConfig, ShiftError, ShiftRuntime,
 };
 use shift_metrics::FrameRecord;
 use shift_models::{ModelId, ModelZoo, ResponseModel};
@@ -150,9 +150,6 @@ pub struct ExperimentContext {
     scale: f64,
     /// Worker count for the parallel experiment executor (the `--jobs` flag).
     jobs: usize,
-    /// Inner loop for fleet runs (the `--lockstep` flag switches back to the
-    /// pre-DES loop; artifacts are bit-identical either way).
-    execution_mode: ExecutionMode,
 }
 
 impl ExperimentContext {
@@ -184,7 +181,6 @@ impl ExperimentContext {
             dataset,
             scale: scale.clamp(0.001, 1.0),
             jobs: executor::default_jobs(),
-            execution_mode: ExecutionMode::default(),
         }
     }
 
@@ -201,17 +197,11 @@ impl ExperimentContext {
         self.jobs
     }
 
-    /// Sets the fleet inner loop (event-driven by default). Both modes
-    /// produce bit-identical artifacts; the lockstep loop is retained as
-    /// the differential-testing oracle.
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.execution_mode = mode;
-        self
-    }
-
-    /// The fleet inner loop.
+    /// Always [`ExecutionMode::ReadySet`], the fleet's one inner loop. This
+    /// exists only so the benchmark, which passes it to
+    /// `ClusterBuilder::execution_mode`, builds unchanged.
     pub fn execution_mode(&self) -> ExecutionMode {
-        self.execution_mode
+        ExecutionMode::ReadySet
     }
 
     /// The seed driving the simulation.

@@ -14,8 +14,8 @@
 //! ([`shift_metrics::SessionRow`]). Traces run as cells on the deterministic
 //! parallel executor and reduce in trace order, and the service itself adds
 //! no clocks or randomness, so the artifact is **byte-identical for any
-//! `--jobs` count and in both execution modes** (`--lockstep` included) —
-//! the same contract every artifact in this workspace honours.
+//! `--jobs` count** — the same contract every artifact in this workspace
+//! honours.
 //!
 //! Run it with `cargo run --release -p shift-experiments --bin repro --
 //! serve`.
@@ -212,7 +212,6 @@ pub fn run_trace(
 ) -> Result<ServeTracePoint, ExperimentError> {
     let mut service = FleetBuilder::new(ctx.engine(), ctx.characterization())
         .streams(base_specs(ctx, options))
-        .execution_mode(ctx.execution_mode())
         .build_service(ServicePolicy::defaults())?;
     for entry in session_trace(ctx, trace, options) {
         service.schedule(entry.tick, entry.request);
@@ -308,7 +307,6 @@ pub fn generate(ctx: &ExperimentContext) -> Result<Table, ExperimentError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shift_core::ExecutionMode;
 
     #[test]
     fn traces_are_pure_in_seed_and_index() {
@@ -354,15 +352,13 @@ mod tests {
     #[test]
     fn artifact_is_byte_identical_for_any_worker_count_and_mode() {
         let options = ServeOptions::smoke();
-        let run = |jobs: usize, mode: ExecutionMode| {
-            let ctx = ExperimentContext::quick(33)
-                .with_jobs(jobs)
-                .with_execution_mode(mode);
+        let run = |jobs: usize| {
+            let ctx = ExperimentContext::quick(33).with_jobs(jobs);
             artifact(&ctx, &options).unwrap().csv.into_bytes()
         };
-        let reference = run(1, ExecutionMode::EventDriven);
-        assert_eq!(reference, run(4, ExecutionMode::EventDriven));
-        assert_eq!(reference, run(2, ExecutionMode::Lockstep));
+        let reference = run(1);
+        assert_eq!(reference, run(4));
+        assert_eq!(reference, run(2));
         let csv = String::from_utf8(reference).unwrap();
         assert!(csv.starts_with(SESSION_CSV_HEADER));
         assert!(csv.lines().count() > 1);

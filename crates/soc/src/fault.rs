@@ -479,22 +479,6 @@ impl FaultPlan {
         edges.dedup();
         edges
     }
-
-    /// The sorted, de-duplicated union of every fault *and* recovery edge —
-    /// the frames on which the platform state changes at all. A
-    /// discrete-event driver schedules exactly one injector advance per
-    /// entry here instead of polling every frame; between entries
-    /// [`FaultInjector::advance`] is a guaranteed no-op.
-    pub fn edge_frames(&self) -> Vec<u64> {
-        let mut edges: Vec<u64> = self
-            .windows
-            .iter()
-            .flat_map(|w| [w.start_frame, w.end_frame])
-            .collect();
-        edges.sort_unstable();
-        edges.dedup();
-        edges
-    }
 }
 
 /// Lays out `count` non-overlapping `(start, end)` windows for one resource:
@@ -749,43 +733,6 @@ mod tests {
             FaultPlan::generate(2, &FaultSpec::mixed(500)),
             "different seeds must differ"
         );
-    }
-
-    #[test]
-    fn edge_frames_cover_every_start_and_end_exactly_once_sorted() {
-        for seed in [0u64, 3, 11] {
-            let plan = FaultPlan::generate(seed, &FaultSpec::mixed(400));
-            let edges = plan.edge_frames();
-            assert!(edges.windows(2).all(|p| p[0] < p[1]), "sorted, deduped");
-            for w in plan.windows() {
-                assert!(edges.contains(&w.start_frame));
-                assert!(edges.contains(&w.end_frame));
-            }
-            for &edge in &edges {
-                assert!(plan
-                    .windows()
-                    .iter()
-                    .any(|w| w.start_frame == edge || w.end_frame == edge));
-            }
-            // Advancing only on the edges reproduces the per-frame replay:
-            // between edges, advance is a no-op by contract.
-            let mut polled = FaultInjector::new(plan.clone());
-            let mut polled_engine = engine();
-            let mut evented = FaultInjector::new(plan);
-            let mut evented_engine = engine();
-            for frame in 0..400u64 {
-                polled.advance(frame, &mut polled_engine);
-                if edges.contains(&frame) {
-                    evented.advance(frame, &mut evented_engine);
-                }
-                assert_eq!(polled.is_fault_active(), evented.is_fault_active());
-                assert_eq!(polled.active_count(), evented.active_count());
-            }
-            assert_eq!(polled_engine.power_mode(), evented_engine.power_mode());
-        }
-        assert!(FaultPlan::generate(5, &FaultSpec::none(100))
-            .edge_frames()
-            .is_empty());
     }
 
     #[test]

@@ -96,29 +96,6 @@ impl OccupancyTracker {
         self.busy_until.values().copied().fold(0.0, f64::max)
     }
 
-    /// Snapshot of every accelerator's busy-until time, in accelerator
-    /// order — the tracker's state as a list of release events a
-    /// discrete-event driver can schedule against.
-    pub fn busy_until_events(&self) -> Vec<(AcceleratorId, f64)> {
-        self.busy_until.iter().map(|(&a, &t)| (a, t)).collect()
-    }
-
-    /// The earliest accelerator release strictly after `now_s` — the next
-    /// moment any queued work could start. `None` when everything is already
-    /// idle at `now_s`. Ties break on the accelerator ordering, so the
-    /// answer is deterministic.
-    pub fn next_release_after(&self, now_s: f64) -> Option<(AcceleratorId, f64)> {
-        self.busy_until
-            .iter()
-            .filter(|(_, &t)| t > now_s)
-            .map(|(&a, &t)| (a, t))
-            .min_by(|x, y| {
-                x.1.partial_cmp(&y.1)
-                    .expect("finite times")
-                    .then(x.0.cmp(&y.0))
-            })
-    }
-
     /// Clears all reservations.
     pub fn reset(&mut self) {
         self.busy_until.clear();
@@ -176,40 +153,6 @@ mod tests {
         occupancy.reset();
         assert_eq!(occupancy.makespan_s(), 0.0);
         assert_eq!(occupancy.busy_until(AcceleratorId::Gpu), 0.0);
-    }
-
-    #[test]
-    fn busy_until_events_snapshot_and_next_release_are_deterministic() {
-        let mut occupancy = OccupancyTracker::new();
-        assert!(occupancy.busy_until_events().is_empty());
-        assert_eq!(occupancy.next_release_after(0.0), None);
-        occupancy.reserve(AcceleratorId::Gpu, 0.0, 2.0);
-        occupancy.reserve(AcceleratorId::Dla0, 0.0, 3.0);
-        occupancy.reserve(AcceleratorId::OakD, 0.0, 2.0);
-        let events = occupancy.busy_until_events();
-        assert_eq!(events.len(), 3);
-        assert!(
-            events.windows(2).all(|p| p[0].0 < p[1].0),
-            "accelerator order"
-        );
-        // Two releases tie at t=2.0: the lower accelerator wins.
-        let (accel, at) = occupancy.next_release_after(0.0).unwrap();
-        assert_eq!(at, 2.0);
-        assert_eq!(
-            accel,
-            events
-                .iter()
-                .filter(|&&(_, t)| t == 2.0)
-                .map(|&(a, _)| a)
-                .min()
-                .unwrap()
-        );
-        // Strictly-after semantics: at t=2.0 only the 3.0 release remains.
-        assert_eq!(
-            occupancy.next_release_after(2.0),
-            Some((AcceleratorId::Dla0, 3.0))
-        );
-        assert_eq!(occupancy.next_release_after(3.0), None);
     }
 
     #[test]

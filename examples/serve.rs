@@ -3,7 +3,7 @@
 //!
 //! Where `fleet.rs` runs a fixed stream set to completion (the batch shape),
 //! this example drives the long-running [`FleetService`]: a deterministic
-//! request/response protocol over the same DES core. Sessions arrive with an
+//! request/response protocol over the same fleet loop. Sessions arrive with an
 //! accuracy goal and a deadline class; SLO-aware admission either admits
 //! them, offers a degraded goal back, rejects them, or — for a
 //! higher-priority arrival — sheds a degraded lower-priority session to
@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut service = FleetBuilder::new(engine, &characterization).build_service(policy)?;
 
     // 3. A day in the service's life. `submit` applies a request now;
-    //    `schedule` enqueues it on the DES clock (ticks = frames admitted).
+    //    `schedule` enqueues it on the fleet's tick clock (ticks = frames admitted).
     let attach = |name: &str, scenario: Scenario, goal: f64, class: DeadlineClass| {
         SessionRequest::Attach(AttachRequest::new(
             name,

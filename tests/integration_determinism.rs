@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use shift_baselines::{MarlinConfig, OracleObjective};
 use shift_core::fleet::{FleetConfig, FleetRuntime, StreamSpec};
-use shift_core::{characterize, ExecutionMode, ShiftConfig, ShiftRuntime};
+use shift_core::{characterize, ShiftConfig, ShiftRuntime};
 use shift_experiments::workloads::paper_shift_config;
 use shift_experiments::ExperimentContext;
 use shift_metrics::{FLEET_CSV_HEADER, STREAM_CSV_HEADER};
@@ -125,11 +125,10 @@ fn golden_serialized_output_is_byte_identical_across_runs() {
     );
 }
 
-/// Golden coverage for the DES refactor, part 1: a fleet of one on the
-/// discrete-event core (and on the retained lockstep oracle) reproduces the
-/// single-stream [`ShiftRuntime`] frame-for-frame, byte-for-byte — the
-/// "fleet-of-one path" contract that lets `ShiftRuntime` stay the simple
-/// special case while the fleet owns the event machinery.
+/// A batch fleet of one reproduces the caller-fed single-stream
+/// [`ShiftRuntime`] frame-for-frame, byte-for-byte: the two drive the same
+/// per-frame phases, one stepping its own scenario on the fleet tick, the
+/// other fed frame by frame on the frame index.
 #[test]
 fn fleet_of_one_on_the_des_core_is_bit_identical_to_shift_runtime() {
     let ctx = ExperimentContext::quick(77);
@@ -137,52 +136,37 @@ fn fleet_of_one_on_the_des_core_is_bit_identical_to_shift_runtime() {
     let mut runtime = ShiftRuntime::new(ctx.engine(), ctx.characterization(), paper_shift_config())
         .expect("runtime builds");
     let single = runtime.run(scenario.stream()).expect("run completes");
-    let single_bytes = format!("{single:?}").into_bytes();
-    for mode in [ExecutionMode::EventDriven, ExecutionMode::Lockstep] {
-        let specs = vec![StreamSpec::new(
-            "solo",
-            scenario.clone(),
-            paper_shift_config(),
-        )];
-        let mut fleet = FleetRuntime::new(
-            ctx.engine(),
-            ctx.characterization(),
-            FleetConfig::round_robin(),
-            specs,
-        )
-        .expect("fleet builds")
-        .with_execution_mode(mode);
-        let outcomes = fleet.run_to_completion().expect("fleet completes");
-        assert_eq!(outcomes.len(), single.len());
-        for o in &outcomes {
-            assert_eq!(o.queue_wait_s, 0.0, "a fleet of one never self-contends");
-        }
-        let frames: Vec<_> = outcomes.into_iter().map(|o| o.outcome).collect();
-        assert_eq!(
-            format!("{frames:?}").into_bytes(),
-            single_bytes,
-            "{mode:?} fleet-of-one must serialize identically to ShiftRuntime"
-        );
+    let specs = vec![StreamSpec::new("solo", scenario, paper_shift_config())];
+    let mut fleet = FleetRuntime::new(
+        ctx.engine(),
+        ctx.characterization(),
+        FleetConfig::round_robin(),
+        specs,
+    )
+    .expect("fleet builds");
+    let outcomes = fleet.run_to_completion().expect("fleet completes");
+    assert_eq!(outcomes.len(), single.len());
+    for o in &outcomes {
+        assert_eq!(o.queue_wait_s, 0.0, "a fleet of one never self-contends");
     }
+    let frames: Vec<_> = outcomes.into_iter().map(|o| o.outcome).collect();
+    assert_eq!(
+        format!("{frames:?}").into_bytes(),
+        format!("{single:?}").into_bytes(),
+        "a fleet of one must serialize identically to ShiftRuntime"
+    );
 }
 
-/// Golden coverage for the DES refactor, part 2: the `repro -- fleet`,
-/// `repro -- stress` and `repro -- chaos` artifact bytes are unchanged by
-/// the refactor — the event-driven default and the pre-DES lockstep loop
-/// (`--lockstep`) render byte-identical artifacts, at a parallel jobs count
-/// for good measure. (Chaos is single-stream and must be mode-blind;
-/// fleet/stress genuinely exercise both inner loops.)
+/// The `repro -- fleet`, `repro -- stress` and `repro -- chaos` artifact
+/// bytes do not depend on the executor's worker count: a sequential run and
+/// a two-worker run render byte-identical artifacts.
 #[test]
 fn des_refactor_leaves_fleet_stress_chaos_artifact_bytes_unchanged() {
     use shift_experiments::chaos::{self, ChaosOptions};
     use shift_experiments::stress::{self, StressOptions};
-    let ctx_for = |mode: ExecutionMode| {
-        ExperimentContext::quick(91)
-            .with_jobs(2)
-            .with_execution_mode(mode)
-    };
-    let fleet_csv = |mode: ExecutionMode| {
-        let point = shift_experiments::fleet::run_fleet(&ctx_for(mode), 3).expect("fleet runs");
+    let ctx_for = |jobs: usize| ExperimentContext::quick(91).with_jobs(jobs);
+    let fleet_csv = |jobs: usize| {
+        let point = shift_experiments::fleet::run_fleet(&ctx_for(jobs), 3).expect("fleet runs");
         let mut csv = String::from(STREAM_CSV_HEADER);
         csv.push('\n');
         for stream in &point.per_stream {
@@ -195,25 +179,25 @@ fn des_refactor_leaves_fleet_stress_chaos_artifact_bytes_unchanged() {
         csv
     };
     assert_eq!(
-        fleet_csv(ExecutionMode::EventDriven).into_bytes(),
-        fleet_csv(ExecutionMode::Lockstep).into_bytes(),
-        "fleet artifact bytes must be unchanged by the DES refactor"
+        fleet_csv(1).into_bytes(),
+        fleet_csv(2).into_bytes(),
+        "fleet artifact bytes must not depend on the worker count"
     );
-    let stress_csv = |mode: ExecutionMode| {
-        stress::summary_csv(&ctx_for(mode), &StressOptions::smoke()).expect("stress summary")
+    let stress_csv = |jobs: usize| {
+        stress::summary_csv(&ctx_for(jobs), &StressOptions::smoke()).expect("stress summary")
     };
     assert_eq!(
-        stress_csv(ExecutionMode::EventDriven).into_bytes(),
-        stress_csv(ExecutionMode::Lockstep).into_bytes(),
-        "stress artifact bytes must be unchanged by the DES refactor"
+        stress_csv(1).into_bytes(),
+        stress_csv(2).into_bytes(),
+        "stress artifact bytes must not depend on the worker count"
     );
-    let chaos_csv = |mode: ExecutionMode| {
-        chaos::summary_csv(&ctx_for(mode), &ChaosOptions::smoke()).expect("chaos summary")
+    let chaos_csv = |jobs: usize| {
+        chaos::summary_csv(&ctx_for(jobs), &ChaosOptions::smoke()).expect("chaos summary")
     };
     assert_eq!(
-        chaos_csv(ExecutionMode::EventDriven).into_bytes(),
-        chaos_csv(ExecutionMode::Lockstep).into_bytes(),
-        "chaos artifact bytes must be unchanged by the DES refactor"
+        chaos_csv(1).into_bytes(),
+        chaos_csv(2).into_bytes(),
+        "chaos artifact bytes must not depend on the worker count"
     );
 }
 
@@ -304,39 +288,26 @@ fn golden_chaos_resilience_csv_is_byte_identical_across_runs_and_jobs() {
 
 /// Golden determinism for the hunt artifact: the coverage-guided
 /// adversarial search's complete findings CSV must be byte-identical across
-/// repeat invocations, across `--jobs 1/2/4/8` *and* across the DES /
-/// lockstep execution modes — the mutate → evaluate → bucket → minimize
-/// loop is pure in `(context, options)` by construction, and any
-/// worker-count-dependent fold order or mode-dependent scheduling shows up
-/// here as a byte diff.
+/// repeat invocations and across `--jobs 1/2/4/8` — the mutate → evaluate →
+/// bucket → minimize loop is pure in `(context, options)` by construction,
+/// and any worker-count-dependent fold order shows up here as a byte diff.
 #[test]
 fn golden_hunt_findings_csv_is_byte_identical_across_runs_jobs_and_modes() {
     use shift_experiments::search::{self, HuntOptions};
     let options = HuntOptions::smoke();
-    let run = |jobs: usize, mode: ExecutionMode| {
-        let ctx = ExperimentContext::quick(42)
-            .with_jobs(jobs)
-            .with_execution_mode(mode);
+    let run = |jobs: usize| {
+        let ctx = ExperimentContext::quick(42).with_jobs(jobs);
         search::summary_csv(&ctx, &options).expect("hunt summary builds")
     };
-    let sequential = run(1, ExecutionMode::EventDriven);
-    assert_eq!(
-        sequential,
-        run(1, ExecutionMode::EventDriven),
-        "hunt findings CSV must not drift"
-    );
+    let sequential = run(1);
+    assert_eq!(sequential, run(1), "hunt findings CSV must not drift");
     for jobs in [2, 4, 8] {
         assert_eq!(
-            run(jobs, ExecutionMode::EventDriven),
+            run(jobs),
             sequential,
             "hunt CSV must be byte-identical at --jobs {jobs}"
         );
     }
-    assert_eq!(
-        run(2, ExecutionMode::Lockstep),
-        sequential,
-        "hunt CSV must be byte-identical under --lockstep"
-    );
     assert!(sequential.starts_with(shift_metrics::HUNT_CSV_HEADER));
     // Seed 42 deterministically catches failures the fixed stress grid
     // cannot express (its scenarios all run on a healthy platform).

@@ -5,9 +5,9 @@
 //! uses:
 //!
 //! 1. **Determinism**: the `CLUSTER_capacity.csv` artifact is byte-identical
-//!    for any `--jobs` worker count and under DES vs `--lockstep` —
-//!    placement, migration and admission decisions are pure functions of
-//!    cluster state, never of scheduling order on the host.
+//!    for any `--jobs` worker count — placement, migration and admission
+//!    decisions are pure functions of cluster state, never of scheduling
+//!    order on the host.
 //! 2. **Liveness of rebalancing**: the seeded diurnal trace actually drives
 //!    live migrations on multi-node clusters — the rebalancer is exercised,
 //!    not dead code behind an unreachable threshold.
@@ -16,7 +16,6 @@
 //!    every processed frame is attributed to exactly one session.
 
 use shift_core::cluster::{ClusterBuilder, ClusterPolicy};
-use shift_core::ExecutionMode;
 use shift_experiments::cluster::{
     self, class_characterizations, diurnal_trace, node_classes, ClusterOptions, ClusterTraceOp,
 };
@@ -31,12 +30,9 @@ fn replay(
     options: &ClusterOptions,
 ) -> (shift_core::ClusterScheduler, usize) {
     let characterizations = class_characterizations(ctx);
-    let mut builder = ClusterBuilder::new()
-        .policy(
-            ClusterPolicy::defaults()
-                .with_rebalance(options.rebalance_period, options.rebalance_gap),
-        )
-        .execution_mode(ctx.execution_mode());
+    let mut builder = ClusterBuilder::new().policy(
+        ClusterPolicy::defaults().with_rebalance(options.rebalance_period, options.rebalance_gap),
+    );
     for class in node_classes(size) {
         builder = builder.node(
             class,
@@ -60,29 +56,20 @@ fn replay(
 #[test]
 fn capacity_csv_replays_byte_identically_across_jobs_and_modes() {
     let options = ClusterOptions::smoke();
-    let run = |jobs: usize, mode: ExecutionMode| {
-        let ctx = ExperimentContext::quick(2024)
-            .with_jobs(jobs)
-            .with_execution_mode(mode);
+    let run = |jobs: usize| {
+        let ctx = ExperimentContext::quick(2024).with_jobs(jobs);
         cluster::artifact(&ctx, &options)
             .expect("cluster artifact generates")
             .csv
             .into_bytes()
     };
-    let reference = run(1, ExecutionMode::EventDriven);
+    let reference = run(1);
     assert!(!reference.is_empty());
     for jobs in [2, 4, 8] {
         assert_eq!(
             reference,
-            run(jobs, ExecutionMode::EventDriven),
+            run(jobs),
             "--jobs {jobs} must not change a byte of the capacity CSV"
-        );
-    }
-    for jobs in [1, 8] {
-        assert_eq!(
-            reference,
-            run(jobs, ExecutionMode::Lockstep),
-            "--lockstep at --jobs {jobs} must not change a byte of the capacity CSV"
         );
     }
 }

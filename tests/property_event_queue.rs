@@ -152,12 +152,12 @@ fn documented_tiebreak_example() {
     queue.schedule(0, EventKind::FrameArrival, 1, "arrival-s1");
     queue.schedule(0, EventKind::FrameArrival, 0, "arrival-s0-first");
     queue.schedule(0, EventKind::FrameArrival, 0, "arrival-s0-second");
-    queue.schedule(0, EventKind::FaultEdge, 7, "edge");
+    queue.schedule(0, EventKind::SessionDetach, 7, "detach");
     let order: Vec<&str> = std::iter::from_fn(|| queue.pop().map(|e| e.payload)).collect();
     assert_eq!(
         order,
         [
-            "edge",
+            "detach",
             "arrival-s0-first",
             "arrival-s0-second",
             "arrival-s1",

@@ -3,7 +3,7 @@
 //! The hot-path speed campaign (cached-moment single-pass NCC, the fused
 //! zero-alloc region scratch and the dominance-pruned scheduler arg-max)
 //! promises *bit-identical* outputs, not approximately-equal ones — the
-//! committed stress/chaos/differential artifacts depend on it. This suite
+//! committed stress and chaos artifacts depend on it. This suite
 //! keeps the historical implementations alive as private references and
 //! asserts `f64::to_bits` equality against the optimized paths over
 //! proptest-drawn images, bounding boxes and scheduler trajectories. It also

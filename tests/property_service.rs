@@ -4,12 +4,12 @@
 //! from the outside, through the same public surface `repro -- serve` uses:
 //!
 //! 1. **Compat**: a fixed-set [`FleetService`] run is bit-identical to the
-//!    batch `FleetRuntime::run_to_completion` it replaced, in both execution
-//!    modes — the batch path survives as a shim over the service core.
+//!    batch `FleetRuntime::run_to_completion` it replaced — the batch path
+//!    survives as a shim over the service core.
 //! 2. **Determinism**: a seeded attach/detach churn trace replays
-//!    byte-identically for any `--jobs` worker count and under DES vs
-//!    `--lockstep` — admission decisions are pure functions of fleet state,
-//!    never of scheduling order on the host.
+//!    byte-identically for any `--jobs` worker count — admission decisions
+//!    are pure functions of fleet state, never of scheduling order on the
+//!    host.
 //!
 //! Plus the admission-control vocabulary end to end: reject-at-capacity,
 //! the degrade offer, and shed-under-overload.
@@ -17,8 +17,8 @@
 //! [`FleetService`]: shift_core::FleetService
 
 use shift_core::{
-    AttachRequest, DeadlineClass, ExecutionMode, FleetBuilder, FleetConfig, RejectReason,
-    ServicePolicy, SessionEvent, SessionRequest, ShiftConfig, StreamAgent,
+    AttachRequest, DeadlineClass, FleetBuilder, FleetConfig, RejectReason, ServicePolicy,
+    SessionEvent, SessionRequest, ShiftConfig, StreamAgent,
 };
 use shift_experiments::serve::{self, ServeOptions};
 use shift_experiments::{fleet, ExperimentContext};
@@ -45,58 +45,45 @@ fn solo_gpu_latency(ctx: &ExperimentContext) -> f64 {
 
 #[test]
 fn fixed_set_service_matches_the_batch_runtime_in_both_modes() {
-    for mode in [ExecutionMode::EventDriven, ExecutionMode::Lockstep] {
-        let ctx = ExperimentContext::quick(2024).with_execution_mode(mode);
-        let specs = fleet::stream_specs(&ctx, 3);
-        let mut batch = FleetBuilder::new(ctx.engine(), ctx.characterization())
-            .config(FleetConfig::round_robin())
-            .streams(specs.clone())
-            .execution_mode(mode)
-            .build()
-            .expect("batch fleet builds");
-        let batch_outcomes = batch.run_to_completion().expect("batch run succeeds");
-        let mut service = FleetBuilder::new(ctx.engine(), ctx.characterization())
-            .config(FleetConfig::round_robin())
-            .streams(specs)
-            .execution_mode(mode)
-            .build_service(ServicePolicy::defaults())
-            .expect("service builds");
-        let service_outcomes = service.run_until_idle().expect("service run succeeds");
-        assert_eq!(
-            format!("{service_outcomes:?}").into_bytes(),
-            format!("{batch_outcomes:?}").into_bytes(),
-            "fixed-set service must replay the batch runtime bit for bit ({mode:?})"
-        );
-        assert_eq!(service.fleet().makespan_s(), batch.makespan_s());
-    }
+    let ctx = ExperimentContext::quick(2024);
+    let specs = fleet::stream_specs(&ctx, 3);
+    let mut batch = FleetBuilder::new(ctx.engine(), ctx.characterization())
+        .config(FleetConfig::round_robin())
+        .streams(specs.clone())
+        .build()
+        .expect("batch fleet builds");
+    let batch_outcomes = batch.run_to_completion().expect("batch run succeeds");
+    let mut service = FleetBuilder::new(ctx.engine(), ctx.characterization())
+        .config(FleetConfig::round_robin())
+        .streams(specs)
+        .build_service(ServicePolicy::defaults())
+        .expect("service builds");
+    let service_outcomes = service.run_until_idle().expect("service run succeeds");
+    assert_eq!(
+        format!("{service_outcomes:?}").into_bytes(),
+        format!("{batch_outcomes:?}").into_bytes(),
+        "fixed-set service must replay the batch runtime bit for bit"
+    );
+    assert_eq!(service.fleet().makespan_s(), batch.makespan_s());
 }
 
 #[test]
 fn seeded_churn_trace_replays_byte_identically_across_jobs_and_modes() {
     let options = ServeOptions::smoke();
-    let run = |jobs: usize, mode: ExecutionMode| {
-        let ctx = ExperimentContext::quick(2024)
-            .with_jobs(jobs)
-            .with_execution_mode(mode);
+    let run = |jobs: usize| {
+        let ctx = ExperimentContext::quick(2024).with_jobs(jobs);
         serve::artifact(&ctx, &options)
             .expect("serve artifact generates")
             .csv
             .into_bytes()
     };
-    let reference = run(1, ExecutionMode::EventDriven);
+    let reference = run(1);
     assert!(!reference.is_empty());
     for jobs in [2, 4, 8] {
         assert_eq!(
             reference,
-            run(jobs, ExecutionMode::EventDriven),
+            run(jobs),
             "--jobs {jobs} must not change a byte of the session CSV"
-        );
-    }
-    for jobs in [1, 8] {
-        assert_eq!(
-            reference,
-            run(jobs, ExecutionMode::Lockstep),
-            "--lockstep at --jobs {jobs} must not change a byte of the session CSV"
         );
     }
 }

@@ -9,8 +9,7 @@
 //! 1. the recorded signal still fires, at *exactly* the recorded magnitude
 //!    (the repo's byte-identical-artifacts determinism contract),
 //! 2. the replayed frame records are identical whether the case runs on the
-//!    single-stream `ShiftRuntime` or as a fleet of one on the DES core, in
-//!    both execution modes (`EventDriven` and `--lockstep`),
+//!    caller-fed single-stream `ShiftRuntime` or as a batch fleet of one,
 //! 3. replay is invariant under the parallel executor's worker count.
 //!
 //! A behaviour change in the scheduler that fixes (or shifts) one of these
@@ -18,7 +17,6 @@
 //! case file must then be re-measured and updated deliberately.
 
 use shift_core::fleet::{FleetConfig, FleetRuntime, StreamSpec};
-use shift_core::ExecutionMode;
 use shift_experiments::executor::run_cells;
 use shift_experiments::search::{entry_records, evaluate_entry, CorpusCase};
 use shift_experiments::workloads::paper_shift_config;
@@ -54,12 +52,8 @@ fn committed_cases() -> Vec<(String, CorpusCase)> {
         .collect()
 }
 
-/// Replays a case as a fleet of one with the same fault plan, in `mode`.
-fn fleet_of_one_records(
-    ctx: &ExperimentContext,
-    case: &CorpusCase,
-    mode: ExecutionMode,
-) -> Vec<FrameRecord> {
+/// Replays a case as a batch fleet of one with the same fault plan.
+fn fleet_of_one_records(ctx: &ExperimentContext, case: &CorpusCase) -> Vec<FrameRecord> {
     let entry = &case.entry;
     let scenario =
         ScenarioGenerator::new(entry.scenario_seed).generate(&entry.scenario, entry.replica);
@@ -73,8 +67,7 @@ fn fleet_of_one_records(
         specs,
     )
     .expect("fleet builds")
-    .with_fault_plan(plan)
-    .with_execution_mode(mode);
+    .with_fault_plan(plan);
     fleet
         .run_to_completion()
         .expect("fleet completes")
@@ -134,16 +127,13 @@ fn replay_is_bit_identical_across_runtimes_and_execution_modes() {
     for (name, case) in committed_cases() {
         let ctx = case.context.build(case.context_seed);
         let single = entry_records(&ctx, &case.entry).unwrap_or_else(|err| panic!("{name}: {err}"));
-        let single_bytes = format!("{single:?}").into_bytes();
-        for mode in [ExecutionMode::EventDriven, ExecutionMode::Lockstep] {
-            let fleet = fleet_of_one_records(&ctx, &case, mode);
-            assert_eq!(
-                format!("{fleet:?}").into_bytes(),
-                single_bytes,
-                "{name}: {mode:?} fleet-of-one replay must serialize identically \
-                 to the single-stream replay"
-            );
-        }
+        let fleet = fleet_of_one_records(&ctx, &case);
+        assert_eq!(
+            format!("{fleet:?}").into_bytes(),
+            format!("{single:?}").into_bytes(),
+            "{name}: the fleet-of-one replay must serialize identically to the \
+             single-stream replay"
+        );
     }
 }
 
