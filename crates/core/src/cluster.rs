@@ -902,6 +902,22 @@ mod tests {
         assert_eq!(sessions[0].migrations, 1);
         assert_eq!(sessions[0].node, Some(1));
         assert_eq!(outcomes.len(), 84, "every scheduled frame ran exactly once");
+        // Every session runs the paper-default graph configuration, so all
+        // the streams a node ever attached, the migrated one included,
+        // share one confidence graph.
+        for index in 0..cluster.node_count() {
+            let fleet = cluster.node(index).fleet();
+            let graphs: Vec<_> = fleet
+                .handles()
+                .into_iter()
+                .map(|h| fleet.stream(h).agent().scheduler().graph())
+                .collect();
+            assert!(graphs.len() >= 2, "node {index} ran several streams");
+            assert!(
+                graphs.iter().all(|g| std::ptr::eq(*g, graphs[0])),
+                "node {index} holds one graph"
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!
 //! * every stream keeps its **own** [`StreamAgent`] (context detector,
 //!   confidence-graph scheduler, momentum, accuracy goal), so per-stream
-//!   policy is untouched;
+//!   policy is untouched; only the read-only confidence graph is shared,
+//!   one per graph configuration;
 //! * all streams share **one** [`ExecutionEngine`], **one** LRU
 //!   [`DynamicModelLoader`] (the eviction set spans every stream) and one
 //!   [`OccupancyTracker`] — an accelerator busy until `t` charges the wait to
@@ -48,6 +49,7 @@
 use crate::characterize::Characterization;
 use crate::config::ShiftConfig;
 use crate::des::{EventKind, TraceEvent};
+use crate::graph::{ConfidenceGraph, GraphConfig};
 use crate::loader::DynamicModelLoader;
 use crate::runtime::{FrameOutcome, LoadCharge, ResilienceCounters, StreamAgent};
 use crate::scheduler::{CandidatePair, Decision};
@@ -58,6 +60,7 @@ use shift_soc::{
     SocError,
 };
 use shift_video::{Frame, FrameStream, Scenario};
+use std::sync::Arc;
 
 /// Description of one stream joining a fleet: a scenario to play and the
 /// SHIFT configuration (including the per-stream accuracy goal) to play it
@@ -273,6 +276,15 @@ struct StreamState {
 /// Drives N concurrent SHIFT streams against a single shared
 /// [`ExecutionEngine`].
 ///
+/// The streams [`FleetRuntime::new`] attaches (and so those of
+/// [`FleetBuilder::build`] and of a
+/// [`FleetService`](crate::service::FleetService)) come from one
+/// characterization, so they share one confidence graph per
+/// [`GraphConfig`]: the first stream that needs a configuration builds its
+/// graph and later ones take it by [`Arc`]. A stream added through
+/// [`FleetRuntime::attach_stream`], which accepts any characterization,
+/// builds its own.
+///
 /// ```
 /// use shift_core::prelude::*;
 /// use shift_core::fleet::{FleetConfig, FleetRuntime, StreamSpec};
@@ -318,6 +330,10 @@ pub struct FleetRuntime {
     stream_polls: u64,
     /// Optional event trace (enabled via [`FleetRuntime::enable_event_trace`]).
     trace: Option<Vec<TraceEvent>>,
+    /// The confidence graphs of the streams attached through
+    /// [`attach_shared`](Self::attach_shared), one per [`GraphConfig`],
+    /// each built on the first such attach that needs it.
+    graphs: Vec<(GraphConfig, Arc<ConfidenceGraph>)>,
 }
 
 impl FleetRuntime {
@@ -345,7 +361,7 @@ impl FleetRuntime {
         }
         let mut fleet = Self::empty(engine, config);
         for spec in specs {
-            fleet.attach_stream(characterization, spec)?;
+            fleet.attach_shared(characterization, spec)?;
         }
         Ok(fleet)
     }
@@ -368,6 +384,7 @@ impl FleetRuntime {
             ready: Vec::new(),
             stream_polls: 0,
             trace: None,
+            graphs: Vec::new(),
         }
     }
 
@@ -391,7 +408,43 @@ impl FleetRuntime {
         characterization: &Characterization,
         spec: StreamSpec,
     ) -> Result<StreamHandle, ShiftError> {
-        let mut agent = StreamAgent::new(characterization, spec.config)?;
+        let agent = StreamAgent::new(characterization, spec.config.clone())?;
+        self.attach_agent(agent, spec)
+    }
+
+    /// [`attach_stream`](Self::attach_stream), with the stream's confidence
+    /// graph taken from the fleet's memo: the first stream with a given
+    /// [`GraphConfig`] builds it, every later one shares it by [`Arc`].
+    ///
+    /// The memo is keyed by configuration alone, so every call on one fleet
+    /// must pass the same characterization. Its two callers do:
+    /// [`FleetRuntime::new`] attaches every spec from its one argument, and
+    /// a [`FleetService`](crate::service::FleetService) attaches every
+    /// session from the characterization it owns.
+    pub(crate) fn attach_shared(
+        &mut self,
+        characterization: &Characterization,
+        spec: StreamSpec,
+    ) -> Result<StreamHandle, ShiftError> {
+        let graphs = &mut self.graphs;
+        let agent = StreamAgent::with_graph(characterization, spec.config.clone(), |config| {
+            if let Some((_, graph)) = graphs.iter().find(|(built, _)| *built == config) {
+                return Arc::clone(graph);
+            }
+            let graph = Arc::new(ConfidenceGraph::build(&characterization.samples, config));
+            graphs.push((config, Arc::clone(&graph)));
+            graph
+        })?;
+        self.attach_agent(agent, spec)
+    }
+
+    /// Pre-loads `agent`'s initial pair and appends its slot, playing
+    /// `spec`'s scenario from `spec.start_frame`.
+    fn attach_agent(
+        &mut self,
+        mut agent: StreamAgent,
+        spec: StreamSpec,
+    ) -> Result<StreamHandle, ShiftError> {
         match self.preload(&mut agent) {
             Ok(()) | Err(SocError::OutOfMemory { .. }) => {}
             Err(other) => return Err(other.into()),
@@ -1195,6 +1248,43 @@ mod tests {
             assert_eq!(fleet_frame.queue_wait_s, 0.0, "no self-contention");
             assert_eq!(&fleet_frame.outcome, single_frame);
         }
+    }
+
+    #[test]
+    fn streams_share_one_graph_per_graph_config() {
+        let characterization = characterization(13);
+        let scenario = Scenario::scenario_3().with_num_frames(4);
+        let paper = ShiftConfig::paper_defaults();
+        let wide = paper.clone().with_distance_threshold(0.8);
+        let mut fleet = FleetBuilder::new(engine(13), &characterization)
+            .streams(
+                (0..4).map(|i| StreamSpec::new(format!("p{i}"), scenario.clone(), paper.clone())),
+            )
+            .stream(StreamSpec::new("wide", scenario.clone(), wide.clone()))
+            .build()
+            .unwrap();
+        // `attach_stream` accepts any characterization, so it builds afresh.
+        fleet
+            .attach_stream(
+                &characterization,
+                StreamSpec::new("late", scenario, paper.clone()),
+            )
+            .unwrap();
+        let graphs: Vec<&ConfidenceGraph> = fleet
+            .handles()
+            .into_iter()
+            .map(|h| fleet.stream(h).agent().scheduler().graph())
+            .collect();
+        for graph in &graphs[1..4] {
+            assert!(std::ptr::eq(graphs[0], *graph));
+        }
+        assert!(!std::ptr::eq(graphs[0], graphs[4]));
+        assert!(!std::ptr::eq(graphs[0], graphs[5]));
+        let paper_graph = ConfidenceGraph::build(&characterization.samples, paper.graph_config());
+        let wide_graph = ConfidenceGraph::build(&characterization.samples, wide.graph_config());
+        assert_eq!(graphs[0], &paper_graph);
+        assert_eq!(graphs[4], &wide_graph);
+        assert_eq!(graphs[5], &paper_graph);
     }
 
     #[test]

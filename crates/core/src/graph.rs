@@ -33,9 +33,6 @@ pub struct GraphConfig {
     /// Maximum accumulated traversal cost for a node to count as a neighbour
     /// (the paper's *distance threshold* knob; Table III uses 0.5).
     pub distance_threshold: f64,
-    /// Minimum number of samples a node needs before it is trusted; bins with
-    /// fewer samples are merged into their nearest populated neighbour.
-    pub min_samples_per_node: usize,
 }
 
 impl GraphConfig {
@@ -44,7 +41,6 @@ impl GraphConfig {
         Self {
             bin_width: 0.1,
             distance_threshold: 0.5,
-            min_samples_per_node: 1,
         }
     }
 

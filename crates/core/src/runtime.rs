@@ -12,14 +12,15 @@ use crate::characterize::Characterization;
 use crate::config::ShiftConfig;
 use crate::context::ContextDetector;
 use crate::fleet::{FleetConfig, FleetRuntime, StreamHandle};
-use crate::graph::ConfidenceGraph;
-use crate::scheduler::{CandidatePair, Decision, Scheduler};
+use crate::graph::{ConfidenceGraph, GraphConfig};
+use crate::scheduler::{CandidatePair, CandidateTable, Decision, Scheduler};
 use crate::ShiftError;
 use serde::{Deserialize, Serialize};
 use shift_models::Detection;
 use shift_soc::{ExecutionEngine, FaultInjector, FaultPlan, InferenceReport};
 use shift_video::Frame;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Everything that happened while processing one frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -116,11 +117,26 @@ impl StreamAgent {
         characterization: &Characterization,
         config: ShiftConfig,
     ) -> Result<Self, ShiftError> {
-        if characterization.is_empty() {
-            return Err(ShiftError::EmptyCharacterization);
-        }
-        let graph = ConfidenceGraph::build(&characterization.samples, config.graph_config());
-        let scheduler = Scheduler::new(config, characterization, graph)?;
+        Self::with_graph(characterization, config, |graph_config| {
+            Arc::new(ConfidenceGraph::build(
+                &characterization.samples,
+                graph_config,
+            ))
+        })
+    }
+
+    /// [`new`](Self::new) with the confidence graph supplied by `graph`,
+    /// which is called with the configuration's [`GraphConfig`] only once
+    /// the characterization and the configuration have passed `new`'s
+    /// checks. A fleet passes a lookup in its graph memo here.
+    pub(crate) fn with_graph(
+        characterization: &Characterization,
+        config: ShiftConfig,
+        graph: impl FnOnce(GraphConfig) -> Arc<ConfidenceGraph>,
+    ) -> Result<Self, ShiftError> {
+        let table = CandidateTable::for_agent(characterization, &config)?;
+        let graph = graph(config.graph_config());
+        let scheduler = Scheduler::from_table(config, table, graph);
         let current = scheduler.initial_pair();
         Ok(Self {
             scheduler,
@@ -483,6 +499,73 @@ mod tests {
         for o in outcomes {
             assert!(o.latency_s >= overhead);
         }
+    }
+
+    #[test]
+    fn candidate_table_agrees_with_stream_agent_new() {
+        use shift_soc::DeviceClass;
+        let allowed_sets = [
+            ShiftConfig::paper_defaults().allowed_accelerators,
+            vec![AcceleratorId::Gpu],
+            vec![AcceleratorId::OakD],
+            vec![AcceleratorId::Cpu],
+            Vec::new(),
+        ];
+        let mut characterizations: Vec<Characterization> = DeviceClass::ALL
+            .iter()
+            .map(|class| {
+                let engine = ExecutionEngine::new(
+                    class.platform(),
+                    ModelZoo::standard(),
+                    ResponseModel::new(6),
+                );
+                characterize(&engine, &CharacterizationDataset::generate(60, 12))
+            })
+            .collect();
+        characterizations.push(Characterization {
+            traits: Default::default(),
+            samples: Vec::new(),
+        });
+        let (mut built, mut errors) = (0, BTreeSet::new());
+        for characterization in &characterizations {
+            for allowed in &allowed_sets {
+                for goal in [0.1, 0.5, 0.9] {
+                    let config = ShiftConfig::paper_defaults()
+                        .with_allowed_accelerators(allowed.clone())
+                        .with_accuracy_goal(goal);
+                    let table = CandidateTable::for_agent(characterization, &config);
+                    match (StreamAgent::new(characterization, config), table) {
+                        (Ok(agent), Ok(table)) => {
+                            let pairs = agent.scheduler().candidate_pairs();
+                            assert_eq!(table.pairs(), pairs);
+                            assert_eq!(table.initial_pair(), agent.current_pair());
+                            let best_iou = pairs
+                                .iter()
+                                .filter_map(|p| characterization.traits_of(p.model))
+                                .map(|t| t.mean_iou)
+                                .fold(f64::NEG_INFINITY, f64::max);
+                            assert_eq!(table.best_reference_accuracy(), best_iou);
+                            built += 1;
+                        }
+                        (Err(agent), Err(table)) => {
+                            assert_eq!(agent, table);
+                            errors.insert(agent.to_string());
+                        }
+                        (agent, table) => panic!(
+                            "agent ok: {}, table ok: {} (allowed {allowed:?}, goal {goal})",
+                            agent.is_ok(),
+                            table.is_ok()
+                        ),
+                    }
+                }
+            }
+        }
+        assert!(built > 0);
+        assert_eq!(
+            errors.len(),
+            2,
+            "both error kinds are exercised: {errors:?}"
+        );
     }
 
     #[test]

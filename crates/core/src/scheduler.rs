@@ -22,6 +22,7 @@ use serde::{Deserialize, Serialize};
 use shift_models::ModelId;
 use shift_soc::AcceleratorId;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// A schedulable (model, accelerator) pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -111,19 +112,21 @@ impl Decision {
     }
 }
 
-/// The SHIFT scheduler: owns the confidence graph, the normalized
-/// energy/latency traits and the per-model momentum buffers.
+/// The graph-free half of a scheduler: every (model, accelerator) pair the
+/// characterization can run on the allowed accelerators, with its
+/// normalized energy and latency scores, and each model's reference
+/// accuracy.
 ///
-/// All per-pair and per-model state lives in dense arrays indexed in lockstep
-/// (`pairs[i]` executes `models[pair_model[i]]` with traits `energy_score[i]`
-/// / `latency_score[i]`), so the per-frame Algorithm 1 pass is a single
-/// allocation-free sweep with no map lookups.
+/// Nothing here depends on the accuracy goal or the confidence graph, so
+/// admission reads a request's candidates and initial pair from a table
+/// alone, and [`Scheduler`] keeps one as its dense per-pair and per-model
+/// state: `pairs[i]` executes `models[pair_model[i]]` with traits
+/// `energy_score[i]` / `latency_score[i]`.
 #[derive(Debug, Clone)]
-pub struct Scheduler {
-    config: ShiftConfig,
-    graph: ConfidenceGraph,
+pub(crate) struct CandidateTable {
     pairs: Vec<CandidatePair>,
-    /// Models in sorted order; all `*_model` indices point into this.
+    /// Every characterized model in sorted order; all `*_model` indices
+    /// point into this.
     models: Vec<ModelId>,
     /// Index into `models` of each pair's model, aligned with `pairs`.
     pair_model: Vec<usize>,
@@ -133,43 +136,33 @@ pub struct Scheduler {
     /// Normalized, inverted latency score per pair (1 = fastest), aligned
     /// with `pairs`.
     latency_score: Vec<f64>,
-    /// Whether a later same-model pair always scores at least as high, so the
-    /// arg-max sweep can skip this one (see `dominated_pairs`). Aligned with
-    /// `pairs`.
-    pair_dominated: Vec<bool>,
-    /// Fallback accuracy per model (characterized mean IoU), used before the
-    /// momentum buffer has any graph predictions. Aligned with `models`.
-    model_fallback: Vec<f64>,
-    /// Momentum buffers of recent accuracy predictions, aligned with `models`.
-    buffers: Vec<VecDeque<f64>>,
-    /// Scratch: momentum-averaged accuracy per model, aligned with `models`.
-    averaged: Vec<f64>,
-    /// Scratch: accuracy-goal filter result per model, aligned with `models`.
-    valid: Vec<bool>,
-    /// Count of full re-scheduling passes performed.
-    reschedule_count: u64,
+    /// Reference accuracy per model (characterized mean IoU), which the
+    /// scheduler falls back to before a model's momentum buffer has any
+    /// graph predictions. Aligned with `models`.
+    reference: Vec<f64>,
 }
 
-impl Scheduler {
-    /// Builds a scheduler from a characterization and a pre-built confidence
-    /// graph.
+impl CandidateTable {
+    /// Enumerates the pairs `characterization` can run on `allowed`, in
+    /// model order, then `allowed` order.
     ///
     /// # Errors
     ///
     /// Returns [`crate::ShiftError::NoCandidatePairs`] when no characterized
     /// model can execute on any allowed accelerator.
-    pub fn new(
-        config: ShiftConfig,
+    pub(crate) fn new(
         characterization: &Characterization,
-        graph: ConfidenceGraph,
+        allowed: &[AcceleratorId],
     ) -> Result<Self, crate::ShiftError> {
         let mut pairs = Vec::new();
         let mut energy_raw = BTreeMap::new();
         let mut latency_raw = BTreeMap::new();
-        let mut fallback_accuracy = BTreeMap::new();
+        let mut models = Vec::with_capacity(characterization.traits.len());
+        let mut reference = Vec::with_capacity(characterization.traits.len());
         for (model, traits) in &characterization.traits {
-            fallback_accuracy.insert(*model, traits.mean_iou);
-            for &accelerator in &config.allowed_accelerators {
+            models.push(*model);
+            reference.push(traits.mean_iou);
+            for &accelerator in allowed {
                 if let Some(stats) = traits.stats_on(accelerator) {
                     let pair = CandidatePair::new(*model, accelerator);
                     pairs.push(pair);
@@ -183,11 +176,9 @@ impl Scheduler {
         }
         let energy_map = normalize_inverted(&energy_raw);
         let latency_map = normalize_inverted(&latency_raw);
-        let energy_score: Vec<f64> = pairs.iter().map(|pair| energy_map[pair]).collect();
-        let latency_score: Vec<f64> = pairs.iter().map(|pair| latency_map[pair]).collect();
-        let models: Vec<ModelId> = fallback_accuracy.keys().copied().collect();
-        let model_fallback: Vec<f64> = fallback_accuracy.values().copied().collect();
-        let pair_model: Vec<usize> = pairs
+        let energy_score = pairs.iter().map(|pair| energy_map[pair]).collect();
+        let latency_score = pairs.iter().map(|pair| latency_map[pair]).collect();
+        let pair_model = pairs
             .iter()
             .map(|pair| {
                 models
@@ -195,30 +186,148 @@ impl Scheduler {
                     .expect("every pair's model is characterized")
             })
             .collect();
-        let pair_dominated =
-            dominated_pairs(&pairs, &pair_model, &energy_score, &latency_score, &config);
-        let n_models = models.len();
         Ok(Self {
-            config,
-            graph,
             pairs,
             models,
             pair_model,
             energy_score,
             latency_score,
+            reference,
+        })
+    }
+
+    /// The table of an agent built from `characterization` under `config`:
+    /// the checks [`StreamAgent::new`](crate::runtime::StreamAgent::new)
+    /// makes before it builds a graph, in its order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::ShiftError::EmptyCharacterization`] when the
+    /// characterization has no samples, then the errors of
+    /// [`CandidateTable::new`].
+    pub(crate) fn for_agent(
+        characterization: &Characterization,
+        config: &ShiftConfig,
+    ) -> Result<Self, crate::ShiftError> {
+        if characterization.is_empty() {
+            return Err(crate::ShiftError::EmptyCharacterization);
+        }
+        Self::new(characterization, &config.allowed_accelerators)
+    }
+
+    /// The schedulable pairs.
+    pub(crate) fn pairs(&self) -> &[CandidatePair] {
+        &self.pairs
+    }
+
+    /// The highest reference accuracy any candidate pair's model reaches.
+    pub(crate) fn best_reference_accuracy(&self) -> f64 {
+        self.pair_model
+            .iter()
+            .map(|&m| self.reference[m])
+            .fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    /// A reasonable initial pair: the most accurate model, placed on its most
+    /// energy-efficient allowed accelerator (mirrors a deployment that starts
+    /// from the strongest detector before any context is known).
+    pub(crate) fn initial_pair(&self) -> CandidatePair {
+        let mut best: Option<(f64, CandidatePair)> = None;
+        for (i, &pair) in self.pairs.iter().enumerate() {
+            let accuracy = self.reference[self.pair_model[i]];
+            let efficiency = self.energy_score[i];
+            let key = accuracy + 1e-3 * efficiency;
+            if best.is_none_or(|(k, _)| key > k) {
+                best = Some((key, pair));
+            }
+        }
+        best.expect("a table has at least one pair").1
+    }
+
+    /// Index of `model` in the dense per-model arrays, or `None` for an
+    /// uncharacterized model.
+    fn model_index(&self, model: ModelId) -> Option<usize> {
+        self.models.binary_search(&model).ok()
+    }
+}
+
+/// The SHIFT scheduler: the candidate table, a confidence graph and the
+/// per-model momentum buffers.
+///
+/// The graph is shared by [`Arc`]: it is read-only once built, so every
+/// scheduler built from one characterization and one [`GraphConfig`] can
+/// use the same one. A fleet builds each graph once and hands it to all of
+/// its streams with that configuration.
+///
+/// All per-pair and per-model state lives in dense arrays indexed in lockstep
+/// (the candidate table's, plus `pair_dominated`, `buffers`, `averaged` and
+/// `valid`), so the per-frame Algorithm 1 pass is a single allocation-free
+/// sweep with no map lookups.
+///
+/// [`GraphConfig`]: crate::graph::GraphConfig
+#[derive(Debug, Clone)]
+pub struct Scheduler {
+    config: ShiftConfig,
+    graph: Arc<ConfidenceGraph>,
+    table: CandidateTable,
+    /// Whether a later same-model pair always scores at least as high, so the
+    /// arg-max sweep can skip this one (see `dominated_pairs`). Aligned with
+    /// the table's pairs.
+    pair_dominated: Vec<bool>,
+    /// Momentum buffers of recent accuracy predictions, aligned with the
+    /// table's models.
+    buffers: Vec<VecDeque<f64>>,
+    /// Scratch: momentum-averaged accuracy per model, aligned with the
+    /// table's models.
+    averaged: Vec<f64>,
+    /// Scratch: accuracy-goal filter result per model, aligned with the
+    /// table's models.
+    valid: Vec<bool>,
+    /// Count of full re-scheduling passes performed.
+    reschedule_count: u64,
+}
+
+impl Scheduler {
+    /// Builds a scheduler from a characterization and a pre-built confidence
+    /// graph (owned, or shared by [`Arc`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::ShiftError::NoCandidatePairs`] when no characterized
+    /// model can execute on any allowed accelerator.
+    pub fn new(
+        config: ShiftConfig,
+        characterization: &Characterization,
+        graph: impl Into<Arc<ConfidenceGraph>>,
+    ) -> Result<Self, crate::ShiftError> {
+        let table = CandidateTable::new(characterization, &config.allowed_accelerators)?;
+        Ok(Self::from_table(config, table, graph.into()))
+    }
+
+    /// Builds a scheduler over an already enumerated candidate table.
+    pub(crate) fn from_table(
+        config: ShiftConfig,
+        table: CandidateTable,
+        graph: Arc<ConfidenceGraph>,
+    ) -> Self {
+        let pair_dominated = dominated_pairs(
+            &table.pairs,
+            &table.pair_model,
+            &table.energy_score,
+            &table.latency_score,
+            &config,
+        );
+        let n_models = table.models.len();
+        Self {
+            config,
+            graph,
+            table,
             pair_dominated,
-            model_fallback,
             buffers: vec![VecDeque::new(); n_models],
             averaged: vec![0.0; n_models],
             valid: vec![false; n_models],
             reschedule_count: 0,
-        })
-    }
-
-    /// Index of `model` in the dense `models`/`model_fallback`/`buffers`
-    /// arrays, or `None` for an uncharacterized model.
-    fn model_index(&self, model: ModelId) -> Option<usize> {
-        self.models.binary_search(&model).ok()
+        }
     }
 
     /// The configuration the scheduler was built with.
@@ -228,7 +337,7 @@ impl Scheduler {
 
     /// The schedulable pairs.
     pub fn candidate_pairs(&self) -> &[CandidatePair] {
-        &self.pairs
+        self.table.pairs()
     }
 
     /// The confidence graph in use.
@@ -245,38 +354,29 @@ impl Scheduler {
     /// most efficient candidate), or `None` for a pair outside the candidate
     /// set.
     pub fn energy_score_of(&self, pair: CandidatePair) -> Option<f64> {
-        let i = self.pairs.iter().position(|&p| p == pair)?;
-        Some(self.energy_score[i])
+        let i = self.table.pairs.iter().position(|&p| p == pair)?;
+        Some(self.table.energy_score[i])
     }
 
     /// Normalized, inverted latency score of `pair` in `[0, 1]` (1 marks the
     /// fastest candidate), or `None` for a pair outside the candidate set.
     pub fn latency_score_of(&self, pair: CandidatePair) -> Option<f64> {
-        let i = self.pairs.iter().position(|&p| p == pair)?;
-        Some(self.latency_score[i])
+        let i = self.table.pairs.iter().position(|&p| p == pair)?;
+        Some(self.table.latency_score[i])
     }
 
     /// The characterized reference accuracy (mean IoU) of `model`: the value
     /// the scheduler falls back to when the confidence graph reaches no
     /// prediction for the model within the distance threshold.
     pub fn reference_accuracy(&self, model: ModelId) -> Option<f64> {
-        Some(self.model_fallback[self.model_index(model)?])
+        Some(self.table.reference[self.table.model_index(model)?])
     }
 
     /// A reasonable initial pair: the most accurate model, placed on its most
     /// energy-efficient allowed accelerator (mirrors a deployment that starts
     /// from the strongest detector before any context is known).
     pub fn initial_pair(&self) -> CandidatePair {
-        let mut best: Option<(f64, CandidatePair)> = None;
-        for (i, &pair) in self.pairs.iter().enumerate() {
-            let accuracy = self.model_fallback[self.pair_model[i]];
-            let efficiency = self.energy_score[i];
-            let key = accuracy + 1e-3 * efficiency;
-            if best.is_none_or(|(k, _)| key > k) {
-                best = Some((key, pair));
-            }
-        }
-        best.expect("constructor guarantees at least one pair").1
+        self.table.initial_pair()
     }
 
     /// Runs Algorithm 1 for one frame.
@@ -326,7 +426,7 @@ impl Scheduler {
         // (Predictions for uncharacterized models, which the average below
         // would never read, are dropped instead of buffered.)
         for prediction in &predictions {
-            let Some(i) = self.model_index(prediction.model) else {
+            let Some(i) = self.table.model_index(prediction.model) else {
                 continue;
             };
             let buffer = &mut self.buffers[i];
@@ -335,7 +435,7 @@ impl Scheduler {
                 buffer.pop_front();
             }
         }
-        for (i, &fallback) in self.model_fallback.iter().enumerate() {
+        for (i, &fallback) in self.table.reference.iter().enumerate() {
             let buffer = &self.buffers[i];
             self.averaged[i] = if buffer.is_empty() {
                 fallback
@@ -363,16 +463,17 @@ impl Scheduler {
         // same-model pair always scores at least as high (see
         // `dominated_pairs` for why that preserves the arg-max bit-for-bit).
         let knobs = self.config.knobs;
-        let mut scores: Vec<(CandidatePair, f64)> = Vec::with_capacity(self.pairs.len());
+        let table = &self.table;
+        let mut scores: Vec<(CandidatePair, f64)> = Vec::with_capacity(table.pairs.len());
         let mut best: Option<(CandidatePair, f64)> = None;
         let mut current_score: Option<f64> = None;
-        for (i, &pair) in self.pairs.iter().enumerate() {
-            if !self.valid[self.pair_model[i]] {
+        for (i, &pair) in table.pairs.iter().enumerate() {
+            if !self.valid[table.pair_model[i]] {
                 continue;
             }
-            let accuracy = self.averaged[self.pair_model[i]];
-            let energy = self.energy_score[i];
-            let latency = self.latency_score[i];
+            let accuracy = self.averaged[table.pair_model[i]];
+            let energy = table.energy_score[i];
+            let latency = table.latency_score[i];
             let score = accuracy * knobs.accuracy + energy * knobs.energy + latency * knobs.latency;
             scores.push((pair, score));
             if current_score.is_none() && pair == current {
@@ -714,7 +815,7 @@ mod tests {
         for confidence in [0.0, 0.3, 0.6, 0.9] {
             let decision = scheduler.force_reschedule(current, confidence, 0.0);
             let winner = scheduler
-                .pairs
+                .candidate_pairs()
                 .iter()
                 .position(|&p| p == decision.pair)
                 .expect("decided pair is a candidate");

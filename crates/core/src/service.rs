@@ -15,10 +15,14 @@
 //! A session attaches with a scenario, an accuracy goal and a
 //! [`DeadlineClass`]. Before any stream state is created, admission runs a
 //! *projection* — pure reads of the shared occupancy tracker, memory
-//! arbiter and offline characterization:
+//! arbiter and offline characterization. It is arithmetic: the request's
+//! candidate pairs, their best characterized accuracy and the initial pair
+//! a stream would start on are enumerated once per request from the
+//! characterization, and no stream agent or confidence graph is built.
 //!
-//! 1. **Feasibility** — can any (model, accelerator) pair meet the goal at
-//!    all (the same check [`StreamAgent::new`] performs)?
+//! 1. **Feasibility** — can any allowed (model, accelerator) pair meet the
+//!    goal at all? A request with no candidate pair, or an empty
+//!    characterization, is infeasible at every goal.
 //! 2. **Memory** — does the goal's initial pair fit its pool alongside the
 //!    models other sessions have pinned
 //!    ([`MemoryArbiter::pinned_demand_mb`](shift_soc::MemoryArbiter::pinned_demand_mb))?
@@ -35,6 +39,11 @@
 //! already-degraded sessions and commits it only if the higher-priority
 //! request then fits — no session is shed for an arrival that bounces
 //! anyway; only then is the request rejected.
+//!
+//! An admitted session's stream shares its confidence graph with every
+//! other stream on the service that has the same
+//! [`GraphConfig`](crate::graph::GraphConfig): the service builds one graph
+//! per configuration, on the first attach that needs it.
 //!
 //! # Determinism
 //!
@@ -53,7 +62,7 @@ use crate::characterize::Characterization;
 use crate::config::ShiftConfig;
 use crate::des::{EventKind, EventQueue};
 use crate::fleet::{FleetBuilder, FleetFrameOutcome, FleetRuntime, StreamHandle, StreamSpec};
-use crate::runtime::StreamAgent;
+use crate::scheduler::{CandidatePair, CandidateTable};
 use crate::ShiftError;
 use serde::{Deserialize, Serialize};
 use shift_video::Scenario;
@@ -413,6 +422,15 @@ enum SessionOp {
     Query(SessionId),
 }
 
+/// What admission reads from a request's candidate pairs, the same at
+/// every ladder rung: the best characterized accuracy any of them reaches,
+/// and the initial pair a stream admitted with them would start on.
+#[derive(Clone, Copy)]
+struct Reach {
+    best_iou: f64,
+    initial: CandidatePair,
+}
+
 /// What one ladder rung's projection concluded.
 enum Probe {
     Pass,
@@ -508,7 +526,7 @@ impl FleetService {
     fn attach_preadmitted(&mut self, spec: StreamSpec) -> Result<(), ShiftError> {
         let goal = spec.config.accuracy_goal;
         let name = spec.name.clone();
-        let handle = self.fleet.attach_stream(&self.characterization, spec)?;
+        let handle = self.fleet.attach_shared(&self.characterization, spec)?;
         let id = self.mint_id();
         self.sessions.push(SessionState {
             id,
@@ -712,7 +730,7 @@ impl FleetService {
                     req.config.with_accuracy_goal(goal),
                 )
                 .with_start_frame(req.start_frame);
-                match self.fleet.attach_stream(&self.characterization, spec) {
+                match self.fleet.attach_shared(&self.characterization, spec) {
                     Ok(handle) => {
                         self.sessions.push(SessionState {
                             id,
@@ -819,8 +837,19 @@ impl FleetService {
     /// commit it only if the ladder then passes — no session is shed for an
     /// arrival that bounces anyway. Returns the admitted goal or the final
     /// rejection reason.
+    ///
+    /// The request's candidate pairs depend on its characterization and
+    /// allowed accelerators, not on the goal, so they are enumerated once
+    /// here. A request with none is infeasible at every goal.
     fn admit(&mut self, tick: u64, req: &AttachRequest) -> Result<f64, RejectReason> {
-        match self.probe_ladder(req, &[]) {
+        let Ok(table) = CandidateTable::for_agent(&self.characterization, &req.config) else {
+            return Err(RejectReason::InfeasibleGoal);
+        };
+        let reach = Reach {
+            best_iou: table.best_reference_accuracy(),
+            initial: table.initial_pair(),
+        };
+        match self.probe_ladder(req, reach, &[]) {
             Ok(goal) => Ok(goal),
             Err(reason) => {
                 // Shedding cannot help a goal no pair can ever meet.
@@ -836,7 +865,7 @@ impl FleetService {
                         return Err(reason);
                     };
                     planned.push(victim);
-                    if let Ok(goal) = self.probe_ladder(req, &planned) {
+                    if let Ok(goal) = self.probe_ladder(req, reach, &planned) {
                         for index in planned {
                             self.shed(tick, index);
                         }
@@ -850,7 +879,12 @@ impl FleetService {
     /// Probes the goal ladder from the requested goal down to the floor,
     /// returning the first goal whose projection passes. `excluded` session
     /// indices are treated as already evicted (the planned shed set).
-    fn probe_ladder(&self, req: &AttachRequest, excluded: &[usize]) -> Result<f64, RejectReason> {
+    fn probe_ladder(
+        &self,
+        req: &AttachRequest,
+        reach: Reach,
+        excluded: &[usize],
+    ) -> Result<f64, RejectReason> {
         let requested = req.config.accuracy_goal;
         let floor = self.policy.degrade_floor.min(requested);
         let step = self.policy.degrade_step.max(1e-6);
@@ -861,7 +895,7 @@ impl FleetService {
             if goal < floor - 1e-9 {
                 return Err(blocked);
             }
-            match self.probe_goal(req, goal, excluded) {
+            match self.probe_goal(req, goal, reach, excluded) {
                 Probe::Pass => return Ok(goal),
                 Probe::NoPairs => {}
                 Probe::Memory => blocked = RejectReason::MemoryExhausted,
@@ -874,25 +908,20 @@ impl FleetService {
     /// One ladder rung: pure projection of feasibility, memory and
     /// occupancy for a session admitted at `goal`, with the `excluded`
     /// sessions treated as already evicted. Mutates nothing.
-    fn probe_goal(&self, req: &AttachRequest, goal: f64, excluded: &[usize]) -> Probe {
-        let config = req.config.clone().with_accuracy_goal(goal);
-        let Ok(agent) = StreamAgent::new(&self.characterization, config) else {
-            return Probe::NoPairs;
-        };
+    fn probe_goal(
+        &self,
+        req: &AttachRequest,
+        goal: f64,
+        reach: Reach,
+        excluded: &[usize],
+    ) -> Probe {
         // Deliverability: some allowed pair's characterized accuracy must
         // reach the goal, else this rung has nothing honest to offer and the
         // ladder keeps walking down.
-        let best_iou = agent
-            .scheduler()
-            .candidate_pairs()
-            .iter()
-            .filter_map(|p| self.characterization.traits_of(p.model))
-            .map(|t| t.mean_iou)
-            .fold(f64::NEG_INFINITY, f64::max);
-        if best_iou + 1e-9 < goal {
+        if reach.best_iou + 1e-9 < goal {
             return Probe::NoPairs;
         }
-        let pair = agent.current_pair();
+        let pair = reach.initial;
         let Some(traits) = self.characterization.traits_of(pair.model) else {
             return Probe::NoPairs;
         };
@@ -1034,6 +1063,7 @@ mod tests {
     use super::*;
     use crate::characterize::characterize;
     use crate::fleet::{FleetConfig, FleetRuntime};
+    use crate::runtime::StreamAgent;
     use shift_models::{ModelZoo, ResponseModel};
     use shift_soc::{AcceleratorId, ExecutionEngine, Platform};
     use shift_video::CharacterizationDataset;
