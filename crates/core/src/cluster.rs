@@ -23,9 +23,10 @@ use crate::service::{
     AttachRequest, FleetService, RejectReason, ServicePolicy, SessionEvent, SessionId,
     SessionRequest,
 };
-use crate::{characterize::Characterization, des::ExecutionMode, fleet::FleetBuilder, ShiftError};
+use crate::{characterize::Characterization, fleet::FleetBuilder, ShiftError};
 use serde::{Deserialize, Serialize};
 use shift_soc::{DeviceClass, ExecutionEngine, NetworkLink};
+use std::collections::BTreeMap;
 
 /// Opaque identity of one cluster session, minted at schedule time (1-based,
 /// in schedule order) and never reused. Distinct from the per-node
@@ -259,6 +260,16 @@ struct Node {
     service: FleetService,
 }
 
+/// The fleet's inner loop, as [`ClusterBuilder::execution_mode`] takes it.
+/// There is only one loop, so the setter ignores its argument; the type
+/// exists only so the benchmark, which passes
+/// `ExperimentContext::execution_mode()` there, builds unchanged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecutionMode {
+    /// The per-frame loop over the ready set.
+    ReadySet,
+}
+
 /// Builder for a [`ClusterScheduler`].
 ///
 /// Each node brings its own [`ExecutionEngine`] (over the platform of its
@@ -320,8 +331,8 @@ impl ClusterBuilder {
             policy: self.policy,
             nodes,
             ledger: Vec::new(),
-            ops: Vec::new(),
-            next_op: 0,
+            ops: BTreeMap::new(),
+            next_seq: 0,
             clock: 0,
             migrations: Vec::new(),
             log: Vec::new(),
@@ -346,10 +357,10 @@ pub struct ClusterScheduler {
     policy: ClusterPolicy,
     nodes: Vec<Node>,
     ledger: Vec<LedgerEntry>,
-    /// Scheduled operations ordered by (tick, insertion sequence);
-    /// `next_op` is the consumption cursor.
-    ops: Vec<(u64, ClusterOp)>,
-    next_op: usize,
+    /// Scheduled operations keyed on (tick, schedule sequence): FIFO
+    /// within a tick.
+    ops: BTreeMap<(u64, u64), ClusterOp>,
+    next_seq: u64,
     clock: u64,
     migrations: Vec<MigrationRecord>,
     log: Vec<(u64, ClusterEvent)>,
@@ -477,15 +488,9 @@ impl ClusterScheduler {
     }
 
     fn push_op(&mut self, tick: u64, op: ClusterOp) {
-        // Ops are appended in schedule order and consumed in (tick, order)
-        // order; a tick already in the past fires on the next sweep.
-        let tick = tick.max(self.clock);
-        let at = self.ops[self.next_op..]
-            .iter()
-            .position(|&(t, _)| t > tick)
-            .map(|p| self.next_op + p)
-            .unwrap_or(self.ops.len());
-        self.ops.insert(at, (tick, op));
+        // A tick already in the past fires on the next sweep.
+        self.ops.insert((tick.max(self.clock), self.next_seq), op);
+        self.next_seq += 1;
     }
 
     /// Runs until every scheduled operation has fired and every node is
@@ -506,7 +511,6 @@ impl ClusterScheduler {
                     outcomes.push(ClusterFrameOutcome { node, inner });
                     progressed = true;
                 }
-                self.sync_node_events(node);
             }
             if self.policy.rebalance_period > 0
                 && self
@@ -517,7 +521,7 @@ impl ClusterScheduler {
                 self.try_migrate();
             }
             self.clock += 1;
-            if !progressed && self.next_op >= self.ops.len() {
+            if !progressed && self.ops.is_empty() {
                 return Ok(outcomes);
             }
         }
@@ -526,14 +530,11 @@ impl ClusterScheduler {
     /// Pops and processes every operation due at or before the cluster
     /// clock, in schedule order.
     fn process_due_ops(&mut self) {
-        while self
-            .ops
-            .get(self.next_op)
-            .is_some_and(|&(tick, _)| tick <= self.clock)
-        {
-            let (_, op) = self.ops[self.next_op].clone();
-            self.next_op += 1;
-            match op {
+        while let Some(entry) = self.ops.first_entry() {
+            if entry.key().0 > self.clock {
+                break;
+            }
+            match entry.remove() {
                 ClusterOp::Attach(index) => self.place(index),
                 ClusterOp::Detach(id) => self.detach(id),
             }
@@ -658,7 +659,9 @@ impl ClusterScheduler {
 
     /// Folds a node's protocol events into the ledger. Only shed events
     /// matter here — admits, rejects and detaches are translated directly at
-    /// their submission sites.
+    /// their submission sites. Called after every `submit` to a node, the
+    /// only call that logs there: the cluster never schedules node requests,
+    /// so a node's `step` logs nothing.
     fn sync_node_events(&mut self, node: usize) {
         for (_, event) in self.nodes[node].service.drain_events() {
             let SessionEvent::Shed { session, .. } = event else {

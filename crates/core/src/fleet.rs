@@ -48,7 +48,6 @@
 
 use crate::characterize::Characterization;
 use crate::config::ShiftConfig;
-use crate::des::{EventKind, TraceEvent};
 use crate::graph::{ConfidenceGraph, GraphConfig};
 use crate::loader::DynamicModelLoader;
 use crate::runtime::{FrameOutcome, LoadCharge, ResilienceCounters, StreamAgent};
@@ -319,7 +318,7 @@ pub struct FleetRuntime {
     /// start of every step.
     injector: Option<FaultInjector>,
     /// Frames admitted so far: the fleet-wide discrete clock faults are
-    /// keyed on, and the `time` axis of every scheduled session event.
+    /// keyed on, and the tick a service's scheduled requests fire on.
     steps: u64,
     /// Streams with a frame pending, ascending — the admission set. It
     /// always equals the streams whose `next_frame` is `Some`, so drained
@@ -328,8 +327,6 @@ pub struct FleetRuntime {
     /// Per-stream scheduling examinations performed by admission so far —
     /// the step-count hook the O(active) regression test asserts on.
     stream_polls: u64,
-    /// Optional event trace (enabled via [`FleetRuntime::enable_event_trace`]).
-    trace: Option<Vec<TraceEvent>>,
     /// The confidence graphs of the streams attached through
     /// [`attach_shared`](Self::attach_shared), one per [`GraphConfig`],
     /// each built on the first such attach that needs it.
@@ -383,7 +380,6 @@ impl FleetRuntime {
             steps: 0,
             ready: Vec::new(),
             stream_polls: 0,
-            trace: None,
             graphs: Vec::new(),
         }
     }
@@ -580,22 +576,6 @@ impl FleetRuntime {
         self.stream_polls
     }
 
-    /// Starts recording an event trace (three [`TraceEvent`] stamps per
-    /// frame). Retrieval via [`FleetRuntime::take_event_trace`].
-    pub fn enable_event_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(Vec::new());
-        }
-    }
-
-    /// Takes the recorded event trace, leaving recording enabled.
-    pub fn take_event_trace(&mut self) -> Vec<TraceEvent> {
-        match self.trace.as_mut() {
-            Some(trace) => std::mem::take(trace),
-            None => Vec::new(),
-        }
-    }
-
     /// The fault injector, when a plan is attached.
     pub fn fault_injector(&self) -> Option<&FaultInjector> {
         self.injector.as_ref()
@@ -624,9 +604,10 @@ impl FleetRuntime {
         self.streams.iter().filter(|s| !s.detached).count()
     }
 
-    /// Frames admitted so far — the fleet's discrete clock, the `time` axis
-    /// every scheduled event (fault edges, session attach/detach) is keyed
-    /// on.
+    /// Frames admitted so far — the fleet's discrete clock. The fault
+    /// injector advances on it, and the session requests a
+    /// [`FleetService`](crate::service::FleetService) schedules are keyed on
+    /// it.
     pub fn ticks(&self) -> u64 {
         self.steps
     }
@@ -919,30 +900,6 @@ impl FleetRuntime {
         );
         let completion = submit + outcome.latency_s;
         self.streams[index].clock_s = completion;
-        if let Some(trace) = self.trace.as_mut() {
-            // The three virtual stamps reconstruct the latency accounting:
-            // completion − arrival is the end-to-end latency, completion −
-            // load-complete is exactly the inference kernel's latency.
-            let tick = self.steps;
-            trace.push(TraceEvent {
-                tick,
-                kind: EventKind::FrameArrival,
-                stream: index,
-                at_s: submit,
-            });
-            trace.push(TraceEvent {
-                tick,
-                kind: EventKind::LoadComplete,
-                stream: index,
-                at_s: completion - report.latency_s,
-            });
-            trace.push(TraceEvent {
-                tick,
-                kind: EventKind::InferenceComplete,
-                stream: index,
-                at_s: completion,
-            });
-        }
         FleetFrameOutcome {
             stream: index,
             submit_time_s: submit,
@@ -1520,50 +1477,6 @@ mod tests {
         assert!(fleet.is_done());
         assert_eq!(fleet.stream(late.unwrap()).frames_processed(), 10);
         assert!(fleet.stream(detached).frames_processed() < 12);
-    }
-
-    #[test]
-    fn event_trace_stamps_reconstruct_the_latency_accounting() {
-        let characterization = characterization(22);
-        let specs = vec![
-            StreamSpec::new(
-                "x",
-                Scenario::scenario_2().with_num_frames(12),
-                ShiftConfig::paper_defaults(),
-            ),
-            StreamSpec::new(
-                "y",
-                Scenario::scenario_5().with_num_frames(12),
-                ShiftConfig::paper_defaults(),
-            ),
-        ];
-        let mut fleet = FleetRuntime::new(
-            engine(22),
-            &characterization,
-            FleetConfig::round_robin(),
-            specs,
-        )
-        .unwrap();
-        fleet.enable_event_trace();
-        let outcomes = fleet.run_to_completion().unwrap();
-        let trace = fleet.take_event_trace();
-        assert_eq!(trace.len(), 3 * outcomes.len(), "three events per frame");
-        for (chunk, outcome) in trace.chunks(3).zip(outcomes.iter()) {
-            let [arrival, load, inference] = chunk else {
-                panic!()
-            };
-            assert_eq!(arrival.kind, EventKind::FrameArrival);
-            assert_eq!(load.kind, EventKind::LoadComplete);
-            assert_eq!(inference.kind, EventKind::InferenceComplete);
-            assert!(arrival.tick == load.tick && load.tick == inference.tick);
-            assert_eq!(arrival.stream, outcome.stream);
-            assert_eq!(arrival.at_s, outcome.submit_time_s);
-            assert_eq!(inference.at_s, outcome.completion_time_s);
-            // completion − arrival is the end-to-end latency.
-            assert!((inference.at_s - arrival.at_s - outcome.outcome.latency_s).abs() < 1e-9);
-            assert!(arrival.at_s <= load.at_s && load.at_s <= inference.at_s);
-        }
-        assert!(fleet.take_event_trace().is_empty(), "take drains the trace");
     }
 
     #[test]

@@ -50,7 +50,6 @@ pub mod characterize;
 pub mod cluster;
 pub mod config;
 pub mod context;
-pub mod des;
 pub mod fleet;
 pub mod graph;
 pub mod loader;
@@ -67,7 +66,6 @@ pub use cluster::{
 };
 pub use config::{Knobs, ShiftConfig};
 pub use context::ContextDetector;
-pub use des::{Event, EventKey, EventKind, EventQueue, TraceEvent};
 pub use fleet::{
     FleetBuilder, FleetConfig, FleetFrameOutcome, FleetRuntime, StreamHandle, StreamSpec,
     StreamView,
@@ -90,7 +88,6 @@ pub mod prelude {
     pub use crate::characterize::{characterize, Characterization};
     pub use crate::cluster::{ClusterBuilder, ClusterPolicy, ClusterScheduler, ClusterSessionId};
     pub use crate::config::{Knobs, ShiftConfig};
-    pub use crate::des::{EventKind, EventQueue};
     pub use crate::fleet::{
         FleetBuilder, FleetConfig, FleetFrameOutcome, FleetRuntime, StreamHandle, StreamSpec,
     };

@@ -5,10 +5,9 @@
 //! shape — client sessions attach and detach at arbitrary times against a
 //! runtime that never stops. [`FleetService`] provides that shape as a
 //! deterministic request/response protocol (no real sockets): typed
-//! [`SessionRequest`] messages in, typed [`SessionEvent`] messages out, with
-//! attach/detach scheduled as first-class discrete events
-//! ([`EventKind::SessionAttach`] / [`EventKind::SessionDetach`]) on the same
-//! tick clock the fleet's fault injector advances on.
+//! [`SessionRequest`] messages in, typed [`SessionEvent`] messages out. A
+//! request is processed at once or scheduled for a tick of the clock the
+//! fleet's fault injector advances on.
 //!
 //! # SLO-aware admission
 //!
@@ -54,18 +53,15 @@
 //! attached up front, none detached — is **bit-identical** to
 //! [`FleetRuntime::run_to_completion`] on the same specs, at any artifact
 //! worker count (locked by golden tests).
-//!
-//! [`EventKind::SessionAttach`]: crate::des::EventKind::SessionAttach
-//! [`EventKind::SessionDetach`]: crate::des::EventKind::SessionDetach
 
 use crate::characterize::Characterization;
 use crate::config::ShiftConfig;
-use crate::des::{EventKind, EventQueue};
 use crate::fleet::{FleetBuilder, FleetFrameOutcome, FleetRuntime, StreamHandle, StreamSpec};
 use crate::scheduler::{CandidatePair, CandidateTable};
 use crate::ShiftError;
 use serde::{Deserialize, Serialize};
 use shift_video::Scenario;
+use std::collections::BTreeMap;
 
 /// Opaque identity of one session, minted by the service at attach-request
 /// time (admitted or not) and never reused.
@@ -409,19 +405,6 @@ impl SessionState {
     }
 }
 
-/// A scheduled session operation (the payload of the service's own event
-/// queue).
-///
-/// Same inline-`Attach` trade-off as [`SessionRequest`]: ops are minted once
-/// per request, never per frame.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-enum SessionOp {
-    Attach(AttachRequest),
-    Detach(SessionId),
-    Query(SessionId),
-}
-
 /// What admission reads from a request's candidate pairs, the same at
 /// every ladder rung: the best characterized accuracy any of them reaches,
 /// and the initial pair a stream admitted with them would start on.
@@ -478,10 +461,11 @@ pub struct FleetService {
     fleet: FleetRuntime,
     characterization: Characterization,
     policy: ServicePolicy,
-    /// Scheduled attach/detach/query operations, keyed on the fleet's
-    /// discrete clock with the session event ranks (detach before attach at
-    /// the same tick).
-    ops: EventQueue<SessionOp>,
+    /// Scheduled requests keyed on (tick, is not a detach, schedule
+    /// sequence): detaches fire before attaches and queries at one tick,
+    /// and requests otherwise fire in schedule order.
+    ops: BTreeMap<(u64, bool, u64), SessionRequest>,
+    next_seq: u64,
     sessions: Vec<SessionState>,
     /// Tick-stamped protocol events, in emission order.
     log: Vec<(u64, SessionEvent)>,
@@ -509,7 +493,8 @@ impl FleetService {
             fleet,
             characterization: characterization.clone(),
             policy,
-            ops: EventQueue::new(),
+            ops: BTreeMap::new(),
+            next_seq: 0,
             sessions: Vec::new(),
             log: Vec::new(),
         };
@@ -642,31 +627,28 @@ impl FleetService {
         self.process_request(tick, request)
     }
 
-    /// Schedules a request for a future tick (frames-admitted clock).
-    /// Detaches rank before attaches at the same tick — a departing
-    /// session's capacity is visible to the same tick's admission checks —
-    /// and queries rank with attaches. Response events land in the event
-    /// log when the tick arrives.
+    /// Schedules a request for tick `tick` of the frames-admitted clock; a
+    /// tick already past counts as the current tick. Detaches fire before
+    /// attaches and queries at the same tick — a departing session's
+    /// capacity is visible to the same tick's admission checks — and
+    /// requests otherwise fire in schedule order. Response events land in
+    /// the event log when the tick arrives.
     pub fn schedule(&mut self, tick: u64, request: SessionRequest) {
-        let (kind, op) = match request {
-            SessionRequest::Attach(req) => (EventKind::SessionAttach, SessionOp::Attach(req)),
-            SessionRequest::Detach(id) => (EventKind::SessionDetach, SessionOp::Detach(id)),
-            SessionRequest::Query(id) => (EventKind::SessionAttach, SessionOp::Query(id)),
-        };
-        self.ops.schedule(tick, kind, 0, op);
+        let tick = tick.max(self.fleet.ticks());
+        let not_detach = !matches!(request, SessionRequest::Detach(_));
+        self.ops.insert((tick, not_detach, self.next_seq), request);
+        self.next_seq += 1;
     }
 
-    /// Pops and processes every scheduled operation due at or before the
-    /// current tick, in the event queue's total order.
+    /// Pops and processes every scheduled request due at or before the
+    /// current tick, in key order.
     fn process_due_ops(&mut self) {
         let tick = self.fleet.ticks();
-        while self.ops.peek().is_some_and(|key| key.time <= tick) {
-            let event = self.ops.pop().expect("peeked");
-            let request = match event.payload {
-                SessionOp::Attach(req) => SessionRequest::Attach(req),
-                SessionOp::Detach(id) => SessionRequest::Detach(id),
-                SessionOp::Query(id) => SessionRequest::Query(id),
-            };
+        while let Some(entry) = self.ops.first_entry() {
+            if entry.key().0 > tick {
+                break;
+            }
+            let request = entry.remove();
             self.process_request(tick, request);
         }
     }
@@ -686,7 +668,7 @@ impl FleetService {
             if let Some(outcome) = self.fleet.step()? {
                 return Ok(Some(outcome));
             }
-            let Some(next) = self.ops.peek().map(|key| key.time) else {
+            let Some(&(next, _, _)) = self.ops.keys().next() else {
                 return Ok(None);
             };
             self.fleet.advance_ticks_to(next);

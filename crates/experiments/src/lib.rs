@@ -82,7 +82,7 @@ pub mod workloads;
 use shift_baselines::{
     MarlinConfig, MarlinRuntime, OracleObjective, OracleRuntime, SingleModelRuntime,
 };
-use shift_core::des::ExecutionMode;
+use shift_core::cluster::ExecutionMode;
 use shift_core::{
     characterize, Characterization, FrameOutcome, ShiftConfig, ShiftError, ShiftRuntime,
 };

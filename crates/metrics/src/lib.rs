@@ -53,7 +53,6 @@ pub mod stats;
 pub mod summary;
 pub mod timeline;
 pub mod timing;
-pub mod trace;
 
 pub use breakdown::{BreakdownAggregate, ScenarioBreakdown, ScenarioRow, SCENARIO_CSV_HEADER};
 pub use cluster::{cluster_capacity_to_csv, ClusterCapacityRow, CLUSTER_CSV_HEADER};
@@ -76,6 +75,3 @@ pub use stats::{mean, pearson_correlation, percentile, std_dev};
 pub use summary::RunSummary;
 pub use timeline::Timeline;
 pub use timing::{TimingRow, TIMING_CSV_HEADER};
-pub use trace::{
-    des_trace_to_csv, frame_timelines, DesEventRow, FrameTimeline, DES_TRACE_CSV_HEADER,
-};

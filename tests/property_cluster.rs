@@ -14,12 +14,21 @@
 //! 3. **Conservation**: migration moves a session, it never loses or
 //!    duplicates one — ledger counts agree with per-node session counts and
 //!    every processed frame is attributed to exactly one session.
+//!
+//! Plus the cluster's request order: FIFO within a tick, with no rank
+//! between attaches and detaches, and a tick already past fires at the
+//! cluster clock.
 
-use shift_core::cluster::{ClusterBuilder, ClusterPolicy};
+use proptest::prelude::*;
+use shift_core::cluster::{
+    ClusterBuilder, ClusterEvent, ClusterPolicy, ClusterScheduler, ClusterSessionId,
+};
+use shift_core::{AttachRequest, DeadlineClass, ShiftConfig};
 use shift_experiments::cluster::{
     self, class_characterizations, diurnal_trace, node_classes, ClusterOptions, ClusterTraceOp,
 };
 use shift_experiments::ExperimentContext;
+use shift_video::Scenario;
 
 /// Builds a cluster of `size` nodes, replays the diurnal trace into it and
 /// runs it to idle — the same replay `run_size` performs, but keeping the
@@ -141,5 +150,73 @@ fn migration_conserves_sessions_and_frames() {
             attributed, total_frames,
             "frame attribution must conserve across migrations (size {size})"
         );
+    }
+}
+
+/// Schedules `requests` — `(tick, is a detach)`, in call order — on
+/// `scheduler` and returns, per request, the cluster id its answer names:
+/// an attach's minted id (a zero-node cluster rejects it), or a tagged id
+/// the cluster never mints for a detach (answered `UnknownSession`).
+fn schedule_tagged(scheduler: &mut ClusterScheduler, requests: &[(u64, bool)]) -> Vec<u64> {
+    requests
+        .iter()
+        .enumerate()
+        .map(|(index, &(tick, detach))| {
+            if detach {
+                let tag = 1_000_000 + index as u64;
+                scheduler.schedule_detach(tick, ClusterSessionId::from_value(tag));
+                tag
+            } else {
+                let request = AttachRequest::new(
+                    "probe",
+                    Scenario::scenario_1().with_num_frames(4),
+                    ShiftConfig::paper_defaults(),
+                    DeadlineClass::Standard,
+                );
+                scheduler.schedule_attach(tick, request).value()
+            }
+        })
+        .collect()
+}
+
+/// The drained cluster log as `(tick, named cluster id)` pairs.
+fn fired(scheduler: &mut ClusterScheduler) -> Vec<(u64, u64)> {
+    scheduler
+        .drain_events()
+        .into_iter()
+        .map(|(tick, event)| match event {
+            ClusterEvent::Rejected { session, .. } | ClusterEvent::UnknownSession { session } => {
+                (tick, session.value())
+            }
+            other => panic!("a zero-node cluster only rejects or answers unknown, got {other:?}"),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Requests fire in (tick, schedule order) with no detach-first rank;
+    /// after a run ends at clock C, requests scheduled for earlier ticks all
+    /// fire at C, in schedule order.
+    #[test]
+    fn cluster_requests_fire_fifo_within_a_tick_and_past_ticks_at_the_clock(
+        first in proptest::collection::vec((0u64..8, 0usize..2), 1..24),
+        late in proptest::collection::vec((0u64..8, 0usize..2), 1..12),
+    ) {
+        let mut scheduler = ClusterBuilder::new().build().expect("an empty cluster builds");
+        let first: Vec<(u64, bool)> = first.iter().map(|&(t, k)| (t, k == 0)).collect();
+        let tags = schedule_tagged(&mut scheduler, &first);
+        scheduler.run_until_idle().expect("an empty cluster runs");
+        let mut expected: Vec<(u64, u64)> = first.iter().map(|&(t, _)| t).zip(tags).collect();
+        expected.sort_by_key(|&(tick, _)| tick);
+        prop_assert_eq!(fired(&mut scheduler), expected);
+
+        let clock = scheduler.clock();
+        let late: Vec<(u64, bool)> = late.iter().map(|&(t, k)| (t % clock, k == 0)).collect();
+        let tags = schedule_tagged(&mut scheduler, &late);
+        scheduler.run_until_idle().expect("an empty cluster runs");
+        let expected: Vec<(u64, u64)> = tags.into_iter().map(|tag| (clock, tag)).collect();
+        prop_assert_eq!(fired(&mut scheduler), expected);
     }
 }

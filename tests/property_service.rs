@@ -10,20 +10,25 @@
 //!    byte-identically for any `--jobs` worker count — admission decisions
 //!    are pure functions of fleet state, never of scheduling order on the
 //!    host.
+//! 3. **Request order**: scheduled requests fire by tick, detaches before
+//!    attaches and queries within a tick, in schedule order otherwise; a
+//!    request scheduled for a tick already past fires at the current tick.
 //!
 //! Plus the admission-control vocabulary end to end: reject-at-capacity,
 //! the degrade offer, and shed-under-overload.
 //!
 //! [`FleetService`]: shift_core::FleetService
 
+use proptest::prelude::*;
 use shift_core::{
     AttachRequest, DeadlineClass, FleetBuilder, FleetConfig, RejectReason, ServicePolicy,
-    SessionEvent, SessionRequest, ShiftConfig, StreamAgent,
+    SessionEvent, SessionId, SessionRequest, ShiftConfig, StreamAgent,
 };
 use shift_experiments::serve::{self, ServeOptions};
 use shift_experiments::{fleet, ExperimentContext};
 use shift_soc::AcceleratorId;
 use shift_video::Scenario;
+use std::sync::OnceLock;
 
 /// A config pinned to the GPU, so saturation tests reason about one queue.
 fn gpu_only() -> ShiftConfig {
@@ -269,4 +274,111 @@ fn detach_after_transactional_shed_answers_unknown_session() {
         .expect("survivor has a record");
     assert!(!record.shed && record.detached_tick.is_none());
     assert_eq!(record.frames, 30, "the survivor processed every frame");
+}
+
+#[test]
+fn a_request_scheduled_for_a_past_tick_fires_after_the_current_ticks_detach() {
+    let ctx = ExperimentContext::quick(2024);
+    let mut service = FleetBuilder::new(ctx.engine(), ctx.characterization())
+        .build_service(ServicePolicy::defaults())
+        .expect("service builds");
+    let attach = |name: &str| {
+        SessionRequest::Attach(AttachRequest::new(
+            name,
+            Scenario::scenario_1().with_num_frames(30),
+            gpu_only().with_accuracy_goal(0.25),
+            DeadlineClass::Standard,
+        ))
+    };
+    let first = service.submit(attach("first"));
+    let SessionEvent::Admitted { session: first, .. } = first else {
+        panic!("{first:?}");
+    };
+    while service.ticks() < 5 {
+        service
+            .step()
+            .expect("step succeeds")
+            .expect("the session still has frames");
+    }
+    service.drain_events();
+    // Scheduled late for tick 2, the attach counts as tick 5 and so fires
+    // after tick 5's detach, which frees the capacity it is checked against.
+    service.schedule(5, SessionRequest::Detach(first));
+    service.schedule(2, attach("late"));
+    service.step().expect("step succeeds");
+    let log = service.drain_events();
+    assert!(
+        matches!(
+            log.as_slice(),
+            [
+                (5, SessionEvent::Detached { session, .. }),
+                (5, SessionEvent::Admitted { .. }),
+            ] if *session == first
+        ),
+        "tick 5 must detach before it admits, got {log:?}"
+    );
+}
+
+/// The characterization every case of the order property shares.
+fn shared_context() -> &'static ExperimentContext {
+    static CONTEXT: OnceLock<ExperimentContext> = OnceLock::new();
+    CONTEXT.get_or_init(|| ExperimentContext::quick(2024))
+}
+
+/// Schedules `requests` — `(tick, is a detach)`, in call order — on an
+/// empty service as requests for ids it never mints (the `i`-th names
+/// `1000 + i`), runs it to idle and returns the drained log.
+fn drain_unknown_requests(requests: &[(u64, bool)]) -> Vec<(u64, SessionEvent)> {
+    let ctx = shared_context();
+    let mut service = FleetBuilder::new(ctx.engine(), ctx.characterization())
+        .build_service(ServicePolicy::defaults())
+        .expect("service builds");
+    for (index, &(tick, detach)) in requests.iter().enumerate() {
+        let id = SessionId::from_value(1000 + index as u64);
+        let request = if detach {
+            SessionRequest::Detach(id)
+        } else {
+            SessionRequest::Query(id)
+        };
+        service.schedule(tick, request);
+    }
+    let outcomes = service.run_until_idle().expect("an empty service runs");
+    assert!(outcomes.is_empty(), "an empty service plays no frames");
+    service.drain_events()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every request answers `UnknownSession`, so the drained log is the
+    /// firing order: the stable sort of the schedule by (tick, detach
+    /// first), each answer stamped with its own tick.
+    #[test]
+    fn scheduled_requests_fire_by_tick_then_detach_first_then_schedule_order(
+        schedule in proptest::collection::vec((0u64..12, 0usize..2), 0..40),
+    ) {
+        let requests: Vec<(u64, bool)> = schedule
+            .iter()
+            .map(|&(tick, kind)| (tick, kind == 0))
+            .collect();
+        let mut expected: Vec<usize> = (0..requests.len()).collect();
+        expected.sort_by_key(|&i| (requests[i].0, !requests[i].1));
+        let log = drain_unknown_requests(&requests);
+        let fired: Vec<usize> = log
+            .iter()
+            .map(|(tick, event)| {
+                let SessionEvent::UnknownSession { session } = event else {
+                    panic!("expected UnknownSession, got {event:?}");
+                };
+                let index = (session.value() - 1000) as usize;
+                assert_eq!(*tick, requests[index].0, "stamped with its own tick");
+                index
+            })
+            .collect();
+        prop_assert_eq!(fired, expected);
+        prop_assert_eq!(
+            format!("{log:?}").into_bytes(),
+            format!("{:?}", drain_unknown_requests(&requests)).into_bytes()
+        );
+    }
 }
