@@ -445,14 +445,9 @@ impl FleetRuntime {
             Ok(()) | Err(SocError::OutOfMemory { .. }) => {}
             Err(other) => return Err(other.into()),
         }
-        let mut stream = spec.scenario.stream();
-        // A resumed stream (live migration) starts mid-scenario: discard the
+        // A resumed stream (live migration) starts mid-scenario, past the
         // frames its previous incarnation already played.
-        for _ in 0..spec.start_frame {
-            if stream.next().is_none() {
-                break;
-            }
-        }
+        let stream = spec.scenario.stream_from(spec.start_frame);
         let total_frames = spec.scenario.num_frames().saturating_sub(spec.start_frame);
         Ok(self.push_slot(spec.name, agent, Some(stream), total_frames))
     }

@@ -10,19 +10,32 @@
 
 use crate::bbox::BoundingBox;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// The lazily computed per-image statistics consumed by the NCC hot path:
-/// the mean and the centered squared norm `Σ (v − mean)²`, both accumulated
-/// left-to-right in row-major order. Keeping that accumulation order is what
-/// lets the single-pass [`crate::ncc`] stay bit-identical to the historical
-/// three-pass formulation: each surviving accumulator sees exactly the same
-/// operand sequence it did before, only computed once per image instead of
-/// once per correlation.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// the mean and the centered squared norm `Σ (v − mean)²`, each accumulated
+/// left-to-right in row-major order. Each sits in a cell of its own, so
+/// whichever pass over the pixels happens to compute one can store it:
+/// [`render_frame`] seeds the mean as it writes each row, and
+/// [`crate::ncc`] stores every norm it computes beside its cross term.
+/// Keeping the accumulation order is what keeps every consumer bit-identical
+/// to the historical three-sum formulation: each accumulator sees exactly
+/// the operand sequence it always did, only once per image instead of once
+/// per correlation.
+#[derive(Debug, Default)]
 struct Moments {
-    mean: f64,
-    centered_norm: f64,
+    mean: OnceLock<f64>,
+    centered_norm: OnceLock<f64>,
+}
+
+/// Where every pixel sum starts: `-0.0`, the neutral element `f64`'s `Sum`
+/// starts from, so a sum built row by row equals `.sum()` over the buffer.
+const PIXEL_SUM_START: f64 = -0.0;
+
+/// Adds `pixels` to `sum` left to right.
+fn pixel_sum(sum: f64, pixels: &[f32]) -> f64 {
+    pixels.iter().fold(sum, |sum, &v| sum + v as f64)
 }
 
 /// A row-major grayscale image with `f32` pixel intensities in `[0, 1]`.
@@ -45,9 +58,9 @@ pub struct GrayImage {
     height: usize,
     data: Arc<Vec<f32>>,
     /// Lazy moment cache, shared with clones of this image. A mutation
-    /// replaces (or clears) the cell, so stale moments can never leak across
-    /// copy-on-write boundaries.
-    moments: Arc<OnceLock<Moments>>,
+    /// replaces (or clears) both cells, so stale moments can never leak
+    /// across copy-on-write boundaries.
+    moments: Arc<Moments>,
 }
 
 impl PartialEq for GrayImage {
@@ -70,7 +83,7 @@ impl GrayImage {
             width,
             height,
             data: Arc::new(vec![0.0; width * height]),
-            moments: Arc::new(OnceLock::new()),
+            moments: Arc::default(),
         }
     }
 
@@ -129,18 +142,16 @@ impl GrayImage {
     }
 
     /// Mutable access to the pixel buffer: unshares it (copy-on-write) and
-    /// invalidates the moment cache, since the caller is about to change
+    /// invalidates both moment cells, since the caller is about to change
     /// pixel values.
     pub(crate) fn pixels_mut(&mut self) -> &mut [f32] {
         match Arc::get_mut(&mut self.moments) {
             // Uniquely owned cache: clearing in place avoids an allocation
-            // per mutation (`set` is called per pixel by the renderer).
-            Some(cell) => {
-                cell.take();
-            }
+            // per mutation (`set` calls this per pixel).
+            Some(moments) => *moments = Moments::default(),
             // The cache is shared with a clone whose pixels stay unchanged;
-            // it keeps the old cell, this image starts a fresh one.
-            None => self.moments = Arc::new(OnceLock::new()),
+            // it keeps the old cells, this image starts fresh ones.
+            None => self.moments = Arc::default(),
         }
         Arc::make_mut(&mut self.data).as_mut_slice()
     }
@@ -150,44 +161,46 @@ impl GrayImage {
         &self.data
     }
 
-    /// The cached moments, computing them on first use. Both accumulations
-    /// run left-to-right over the row-major buffer — the exact operand order
-    /// the NCC and variance paths historically used — so every downstream
-    /// consumer keeps bit-identical results.
-    fn moments(&self) -> Moments {
-        *self.moments.get_or_init(|| {
+    /// Mean pixel intensity, accumulated left-to-right over the row-major
+    /// buffer and cached. A rendered frame's mean arrives already cached:
+    /// [`render_frame`] sums each row as it finishes it.
+    pub fn mean(&self) -> f64 {
+        *self.moments.mean.get_or_init(|| {
             if self.data.is_empty() {
-                return Moments {
-                    mean: 0.0,
-                    centered_norm: 0.0,
-                };
+                return 0.0;
             }
-            let mean = self.data.iter().map(|&v| v as f64).sum::<f64>() / self.data.len() as f64;
-            let centered_norm = self
-                .data
+            pixel_sum(PIXEL_SUM_START, &self.data) / self.data.len() as f64
+        })
+    }
+
+    /// The centered squared norm `Σ (v − mean)²` of the pixel intensities,
+    /// accumulated left-to-right and cached beside [`mean`](Self::mean).
+    /// This is the self-correlation term of the NCC denominator; see
+    /// [`crate::ncc()`], which computes it in the same loop as its cross term
+    /// when it is not cached yet, and stores it.
+    pub fn centered_norm(&self) -> f64 {
+        *self.moments.centered_norm.get_or_init(|| {
+            let mean = self.mean();
+            self.data
                 .iter()
                 .map(|&v| {
                     let d = v as f64 - mean;
                     d * d
                 })
-                .sum::<f64>();
-            Moments {
-                mean,
-                centered_norm,
-            }
+                .sum::<f64>()
         })
     }
 
-    /// Mean pixel intensity.
-    pub fn mean(&self) -> f64 {
-        self.moments().mean
+    /// The centered norm, if some pass has already computed it.
+    pub(crate) fn cached_centered_norm(&self) -> Option<f64> {
+        self.moments.centered_norm.get().copied()
     }
 
-    /// The centered squared norm `Σ (v − mean)²` of the pixel intensities,
-    /// cached alongside [`mean`](Self::mean). This is the self-correlation
-    /// term of the NCC denominator; see [`crate::ncc()`].
-    pub fn centered_norm(&self) -> f64 {
-        self.moments().centered_norm
+    /// Caches `norm` as the centered norm unless one is cached already, and
+    /// returns the cached value. `norm` must be `Σ (v − mean)²` accumulated
+    /// left-to-right, as [`centered_norm`](Self::centered_norm) builds it.
+    pub(crate) fn store_centered_norm(&self, norm: f64) -> f64 {
+        *self.moments.centered_norm.get_or_init(|| norm)
     }
 
     /// Population variance of the pixel intensities.
@@ -327,7 +340,13 @@ pub fn render_frame(
     let hash_x: Vec<u64> = (0..width)
         .map(|x| (x as u64).wrapping_mul(HASH_X_MUL))
         .collect();
+    let target = target.and_then(|bbox| Target::new(bbox, width, height, appearance));
     let mut img = GrayImage::new(width, height);
+    // Each row is finished (background, then the target's strokes on it)
+    // and added to the mean while it is still in cache. Continuing one sum
+    // row after row is the left-to-right order `mean` uses, so the stored
+    // mean is the one `mean` would compute, without a pass of its own.
+    let mut sum = PIXEL_SUM_START;
     for (y, row) in img.pixels_mut().chunks_exact_mut(width).enumerate() {
         let row_h = base_h.wrapping_add((y as u64).wrapping_mul(HASH_Y_MUL));
         let (ly, hy) = (low_y[y], high_y[y]);
@@ -339,37 +358,70 @@ pub fn render_frame(
             let noise = finish_hash(row_h.wrapping_add(xh)) * noise_amp;
             *px = (base + lowf + clutter * highf + noise).clamp(0.0, 1.0);
         }
+        if let Some(target) = &target {
+            target.draw_row(y, row);
+        }
+        sum = pixel_sum(sum, row);
     }
-
-    if let Some(bbox) = target {
-        draw_target(&mut img, bbox, appearance);
-    }
+    let _ = img.moments.mean.set(sum / img.len() as f64);
     img
 }
 
-/// Draws the UAV target as a cross-shaped blob whose intensity offset from
-/// the background is proportional to the contrast parameter.
-fn draw_target(img: &mut GrayImage, bbox: &BoundingBox, appearance: &SceneAppearance) {
-    let clamped = bbox.clamped(img.width(), img.height());
-    if clamped.is_empty() {
-        return;
+/// The UAV target: a cross-shaped blob whose intensity offset from the
+/// background is proportional to the contrast parameter. Its geometry is
+/// fixed per frame, so [`render_frame`] draws it onto each row right after
+/// rendering that row's background.
+struct Target {
+    cx: f64,
+    cy: f64,
+    half_w: f64,
+    half_h: f64,
+    delta: f32,
+    columns: Range<usize>,
+    rows: Range<usize>,
+}
+
+impl Target {
+    /// The target under `bbox` in a `width` × `height` frame, or `None` when
+    /// `bbox` does not overlap the frame.
+    fn new(
+        bbox: &BoundingBox,
+        width: usize,
+        height: usize,
+        appearance: &SceneAppearance,
+    ) -> Option<Self> {
+        let clamped = bbox.clamped(width, height);
+        if clamped.is_empty() {
+            return None;
+        }
+        let (cx, cy) = clamped.center();
+        Some(Self {
+            cx,
+            cy,
+            half_w: (clamped.w / 2.0).max(0.5),
+            half_h: (clamped.h / 2.0).max(0.5),
+            delta: (0.25 + 0.6 * appearance.contrast) as f32,
+            columns: clamped.x.floor().max(0.0) as usize
+                ..(clamped.right().ceil() as usize).min(width),
+            rows: clamped.y.floor().max(0.0) as usize
+                ..(clamped.bottom().ceil() as usize).min(height),
+        })
     }
-    let (cx, cy) = clamped.center();
-    let delta = (0.25 + 0.6 * appearance.contrast) as f32;
-    let x0 = clamped.x.floor().max(0.0) as usize;
-    let y0 = clamped.y.floor().max(0.0) as usize;
-    let x1 = (clamped.right().ceil() as usize).min(img.width());
-    let y1 = (clamped.bottom().ceil() as usize).min(img.height());
-    for y in y0..y1 {
-        for x in x0..x1 {
-            let dx = (x as f64 + 0.5 - cx).abs() / (clamped.w / 2.0).max(0.5);
-            let dy = (y as f64 + 0.5 - cy).abs() / (clamped.h / 2.0).max(0.5);
+
+    /// Darkens the pixels of row `y` that the blob covers, clamping to
+    /// `[0, 1]` as [`GrayImage::set`] does.
+    fn draw_row(&self, y: usize, row: &mut [f32]) {
+        if !self.rows.contains(&y) {
+            return;
+        }
+        let dy = (y as f64 + 0.5 - self.cy).abs() / self.half_h;
+        for x in self.columns.clone() {
+            let dx = (x as f64 + 0.5 - self.cx).abs() / self.half_w;
             // Cross/rotor shape: bright body along both axes, dimmer corners.
             let body = if dx < 0.35 || dy < 0.35 { 1.0 } else { 0.55 };
             if dx <= 1.0 && dy <= 1.0 {
                 let falloff = (1.0 - (dx.max(dy)).powi(2)) as f32;
-                let value = img.get(x, y) - delta * body as f32 * falloff;
-                img.set(x, y, value);
+                row[x] = (row[x] - self.delta * body as f32 * falloff).clamp(0.0, 1.0);
             }
         }
     }

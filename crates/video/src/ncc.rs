@@ -40,13 +40,17 @@ pub const REGION_NCC_SIZE: usize = 16;
 /// otherwise, which matches the intuitive reading of "nothing changed" /
 /// "everything changed" used by the scheduler.
 ///
-/// The per-image terms — the means and the self-correlation denominators
-/// `Σ (v − mean)²` — come from each [`GrayImage`]'s lazily cached moments,
-/// so only the cross term `Σ (p − mean(p)) (c − mean(c))` runs as a pairwise
-/// pass here. Historically all three accumulators ran in one three-pass
-/// formulation; because every surviving accumulator still sees the same
-/// operand sequence left-to-right, the result is bit-identical (the cross
-/// term is deliberately *not* rewritten as `dot(p, c) − n·mean(p)·mean(c)`,
+/// The per-image means come from each [`GrayImage`]'s cached moments (a
+/// rendered frame's mean is seeded by the renderer). The cross term
+/// `Σ (p − mean(p)) (c − mean(c))` runs in one pairwise loop together with
+/// each self-correlation term `Σ (v − mean)²` that is not cached yet, and
+/// the loop stores those norms on their images. Each sum is a serially
+/// dependent chain of f64 additions whose order bit-identity pins, so it is
+/// bound by add latency; but the sums are independent of one another, so
+/// they run side by side at little more than the cost of one. The result is
+/// bit-identical to the historical three-sum loop, because every
+/// accumulator sees the same operand sequence left-to-right (the cross term
+/// is deliberately *not* rewritten as `dot(p, c) − n·mean(p)·mean(c)`,
 /// which rounds differently).
 ///
 /// # Errors
@@ -69,16 +73,17 @@ pub fn ncc(p: &GrayImage, c: &GrayImage) -> Result<f64, VideoError> {
             rhs: (c.width(), c.height()),
         });
     }
-    let mp = p.mean();
-    let mc = c.mean();
-    let dp = p.centered_norm();
-    let dc = c.centered_norm();
-    let mut num = 0.0f64;
-    for (a, b) in p.pixels().iter().zip(c.pixels().iter()) {
-        let da = *a as f64 - mp;
-        let db = *b as f64 - mc;
-        num += da * db;
-    }
+    let (p_pixels, mp) = (p.pixels(), p.mean());
+    let (c_pixels, mc) = (c.pixels(), c.mean());
+    let cached = (p.cached_centered_norm(), c.cached_centered_norm());
+    let (num, dp, dc) = match cached {
+        (None, None) => centered_sums::<true, true>(p_pixels, mp, c_pixels, mc),
+        (None, Some(_)) => centered_sums::<true, false>(p_pixels, mp, c_pixels, mc),
+        (Some(_), None) => centered_sums::<false, true>(p_pixels, mp, c_pixels, mc),
+        (Some(_), Some(_)) => centered_sums::<false, false>(p_pixels, mp, c_pixels, mc),
+    };
+    let dp = cached.0.unwrap_or_else(|| p.store_centered_norm(dp));
+    let dc = cached.1.unwrap_or_else(|| c.store_centered_norm(dc));
     const EPS: f64 = 1e-12;
     if dp < EPS && dc < EPS {
         return Ok(1.0);
@@ -87,6 +92,31 @@ pub fn ncc(p: &GrayImage, c: &GrayImage) -> Result<f64, VideoError> {
         return Ok(0.0);
     }
     Ok((num / (dp.sqrt() * dc.sqrt())).clamp(-1.0, 1.0))
+}
+
+/// One left-to-right pass over both images: the cross term
+/// `Σ (p − mp) (c − mc)`, plus `Σ (p − mp)²` when `P` and `Σ (c − mc)²` when
+/// `C` (a norm not asked for comes back as `0.0`). The flags are constants,
+/// so each of [`ncc`]'s four cases compiles to a loop holding only its sums.
+fn centered_sums<const P: bool, const C: bool>(
+    p: &[f32],
+    mp: f64,
+    c: &[f32],
+    mc: f64,
+) -> (f64, f64, f64) {
+    let (mut num, mut dp, mut dc) = (0.0f64, 0.0f64, 0.0f64);
+    for (a, b) in p.iter().zip(c) {
+        let da = *a as f64 - mp;
+        let db = *b as f64 - mc;
+        num += da * db;
+        if P {
+            dp += da * da;
+        }
+        if C {
+            dc += db * db;
+        }
+    }
+    (num, dp, dc)
 }
 
 /// One side of [`RegionNcc`]'s scratch state: a reusable

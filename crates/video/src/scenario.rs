@@ -346,6 +346,13 @@ impl Scenario {
         FrameStream::new(self.clone())
     }
 
+    /// An iterator over the rendered frames from index `start` on. The
+    /// frames before `start` are never rendered; past the last frame the
+    /// stream is empty.
+    pub fn stream_from(&self, start: usize) -> FrameStream {
+        FrameStream::starting_at(self.clone(), start)
+    }
+
     // ------------------------------------------------------------------
     // The six canonical evaluation scenarios.
     // ------------------------------------------------------------------

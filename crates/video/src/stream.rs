@@ -57,9 +57,14 @@ pub struct FrameStream {
 impl FrameStream {
     /// Creates a stream over all frames of `scenario`.
     pub fn new(scenario: Scenario) -> Self {
+        Self::starting_at(scenario, 0)
+    }
+
+    /// Creates a stream whose first frame is `start`.
+    pub(crate) fn starting_at(scenario: Scenario, start: usize) -> Self {
         Self {
             scenario,
-            next_index: 0,
+            next_index: start,
         }
     }
 
@@ -104,6 +109,14 @@ impl Iterator for FrameStream {
         let frame = self.frame_at(self.next_index)?;
         self.next_index += 1;
         Some(frame)
+    }
+
+    /// Skips `n` frames without rendering them: a frame is a pure function
+    /// of its index, so only the one returned is rendered. `skip` goes
+    /// through here too.
+    fn nth(&mut self, n: usize) -> Option<Frame> {
+        self.next_index = self.next_index.saturating_add(n);
+        self.next()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -159,6 +172,41 @@ mod tests {
         stream.next();
         assert_eq!(stream.len(), 6);
         assert_eq!(stream.size_hint(), (6, Some(6)));
+    }
+
+    #[test]
+    fn nth_and_skip_match_frame_at() {
+        let scenario = Scenario::scenario_2().with_num_frames(9);
+        let mut stream = scenario.stream();
+        assert_eq!(stream.nth(3), stream.frame_at(3));
+        assert_eq!(stream.len(), 5);
+        assert_eq!(stream.nth(2), stream.frame_at(6));
+        assert_eq!(stream.next(), stream.frame_at(7));
+        assert_eq!(stream.len(), 1);
+
+        let skipped = scenario.stream().skip(6);
+        assert_eq!(skipped.len(), 3);
+        let rest: Vec<_> = skipped.collect();
+        let expected: Vec<_> = (6..9).filter_map(|i| stream.frame_at(i)).collect();
+        assert_eq!(rest, expected);
+        assert_eq!(scenario.stream_from(6).collect::<Vec<_>>(), expected);
+    }
+
+    #[test]
+    fn nth_past_the_end_exhausts_the_stream() {
+        let scenario = Scenario::scenario_3().with_num_frames(4);
+        let mut stream = scenario.stream();
+        assert!(stream.nth(4).is_none());
+        assert_eq!(stream.len(), 0);
+        assert!(stream.next().is_none());
+
+        let mut stream = scenario.stream();
+        assert!(stream.nth(usize::MAX).is_none());
+        assert!(stream.next().is_none());
+        assert_eq!(scenario.stream().skip(9).count(), 0);
+        let mut late = scenario.stream_from(7);
+        assert_eq!(late.len(), 0);
+        assert!(late.next().is_none());
     }
 
     #[test]

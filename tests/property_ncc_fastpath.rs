@@ -1,13 +1,15 @@
 //! Fast-path vs reference differential properties.
 //!
-//! The hot-path speed campaign (cached-moment single-pass NCC, the fused
-//! zero-alloc region scratch and the dominance-pruned scheduler arg-max)
-//! promises *bit-identical* outputs, not approximately-equal ones — the
-//! committed stress and chaos artifacts depend on it. This suite
-//! keeps the historical implementations alive as private references and
-//! asserts `f64::to_bits` equality against the optimized paths over
-//! proptest-drawn images, bounding boxes and scheduler trajectories. It also
-//! owns the `[-1, 1]` range invariant that used to be re-clamped (dead) in
+//! The hot-path speed campaign (cached-moment NCC with the missing centered
+//! norms fused into the cross-term loop, the renderer's row-wise target pass
+//! that also seeds each frame's mean, the fused zero-alloc region scratch
+//! and the dominance-pruned scheduler arg-max) promises *bit-identical*
+//! outputs, not approximately-equal ones — the committed stress and chaos
+//! artifacts depend on it. This suite keeps the historical implementations
+//! alive as private references and asserts `f64::to_bits` equality against
+//! the optimized paths over proptest-drawn images, appearances, bounding
+//! boxes and scheduler trajectories. It also owns the `[-1, 1]` range
+//! invariant that used to be re-clamped (dead) in
 //! `ContextDetector::similarity`.
 
 use proptest::prelude::*;
@@ -16,6 +18,7 @@ use shift_core::{
 };
 use shift_models::{ModelId, ModelZoo, ResponseModel};
 use shift_soc::{AcceleratorId, ExecutionEngine, Platform};
+use shift_video::image::{render_frame, SceneAppearance};
 use shift_video::ncc::REGION_NCC_SIZE;
 use shift_video::{
     ncc, ncc_regions, BoundingBox, CharacterizationDataset, GrayImage, RegionNcc, VideoError,
@@ -27,6 +30,23 @@ use std::sync::OnceLock;
 // Reference implementations: the exact pre-optimization code paths.
 // ---------------------------------------------------------------------------
 
+/// The historical mean: one left-to-right `sum` over the row-major buffer.
+fn reference_mean(img: &GrayImage) -> f64 {
+    img.pixels().iter().map(|&v| v as f64).sum::<f64>() / img.pixels().len() as f64
+}
+
+/// The centered norm `Σ (v − mean)²`, computed from scratch.
+fn reference_norm(img: &GrayImage) -> f64 {
+    let mean = reference_mean(img);
+    img.pixels()
+        .iter()
+        .map(|&v| {
+            let d = v as f64 - mean;
+            d * d
+        })
+        .sum()
+}
+
 /// The historical three-pass NCC: means recomputed from scratch and all three
 /// accumulators (`num`, `dp`, `dc`) carried through one pairwise loop.
 fn reference_ncc(p: &GrayImage, c: &GrayImage) -> Result<f64, VideoError> {
@@ -36,14 +56,8 @@ fn reference_ncc(p: &GrayImage, c: &GrayImage) -> Result<f64, VideoError> {
             rhs: (c.width(), c.height()),
         });
     }
-    let mean = |img: &GrayImage| {
-        if img.pixels().is_empty() {
-            return 0.0;
-        }
-        img.pixels().iter().map(|&v| v as f64).sum::<f64>() / img.pixels().len() as f64
-    };
-    let mp = mean(p);
-    let mc = mean(c);
+    let mp = reference_mean(p);
+    let mc = reference_mean(c);
     let mut num = 0.0f64;
     let mut dp = 0.0f64;
     let mut dc = 0.0f64;
@@ -62,6 +76,44 @@ fn reference_ncc(p: &GrayImage, c: &GrayImage) -> Result<f64, VideoError> {
         return Ok(0.0);
     }
     Ok((num / (dp.sqrt() * dc.sqrt())).clamp(-1.0, 1.0))
+}
+
+/// The historical target pass: the frame rendered without a box, then the
+/// blob drawn pixel by pixel through the public `get` and `set`.
+fn reference_render(
+    width: usize,
+    height: usize,
+    appearance: &SceneAppearance,
+    target: Option<&BoundingBox>,
+    seed: u64,
+) -> GrayImage {
+    let mut img = render_frame(width, height, appearance, None, seed);
+    let Some(bbox) = target else {
+        return img;
+    };
+    let clamped = bbox.clamped(width, height);
+    if clamped.is_empty() {
+        return img;
+    }
+    let (cx, cy) = clamped.center();
+    let delta = (0.25 + 0.6 * appearance.contrast) as f32;
+    let x0 = clamped.x.floor().max(0.0) as usize;
+    let y0 = clamped.y.floor().max(0.0) as usize;
+    let x1 = (clamped.right().ceil() as usize).min(width);
+    let y1 = (clamped.bottom().ceil() as usize).min(height);
+    for y in y0..y1 {
+        for x in x0..x1 {
+            let dx = (x as f64 + 0.5 - cx).abs() / (clamped.w / 2.0).max(0.5);
+            let dy = (y as f64 + 0.5 - cy).abs() / (clamped.h / 2.0).max(0.5);
+            let body = if dx < 0.35 || dy < 0.35 { 1.0 } else { 0.55 };
+            if dx <= 1.0 && dy <= 1.0 {
+                let falloff = (1.0 - (dx.max(dy)).powi(2)) as f32;
+                let value = img.get(x, y) - delta * body as f32 * falloff;
+                img.set(x, y, value);
+            }
+        }
+    }
+    img
 }
 
 /// The historical allocating region path: `crop` + `resized` (both still the
@@ -220,9 +272,12 @@ const ACCELERATORS: [AcceleratorId; 4] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The cached-moment single-pass `ncc` is bit-identical to the
-    /// historical three-pass formulation, and stays in `[-1, 1]` — the
-    /// invariant `ContextDetector::similarity` used to re-clamp.
+    /// `ncc` runs the cross term in the same loop as each centered norm not
+    /// cached yet. In every cache state (no norm, either one, both) it is
+    /// bit-identical to the historical three-pass formulation, every norm it
+    /// stores is `Σ (v − mean)²` computed from scratch, and the result stays
+    /// in `[-1, 1]` — the invariant `ContextDetector::similarity` used to
+    /// re-clamp.
     #[test]
     fn cached_moment_ncc_is_bit_identical_to_three_pass(
         dims in (1usize..24, 1usize..24),
@@ -230,18 +285,123 @@ proptest! {
         pool_b in proptest::collection::vec(-0.5..1.5f64, 64..128),
     ) {
         let (w, h) = dims;
-        let a = image_from_pool(w, h, &pool_a);
-        let b = image_from_pool(w, h, &pool_b);
-        let fast = ncc(&a, &b).expect("dims match");
-        let slow = reference_ncc(&a, &b).expect("dims match");
-        prop_assert_eq!(fast.to_bits(), slow.to_bits(),
-            "fast {} != reference {}", fast, slow);
-        prop_assert!((-1.0..=1.0).contains(&fast));
-        // Moments are cached after first use: a second query must reproduce
-        // the same bits, and so must the self-correlation.
-        prop_assert_eq!(ncc(&a, &b).unwrap().to_bits(), fast.to_bits());
-        prop_assert_eq!(ncc(&a, &a).unwrap().to_bits(),
-            reference_ncc(&a, &a).unwrap().to_bits());
+        let expected = reference_ncc(
+            &image_from_pool(w, h, &pool_a),
+            &image_from_pool(w, h, &pool_b),
+        )
+        .expect("dims match");
+        prop_assert!((-1.0..=1.0).contains(&expected));
+        for (cache_a, cache_b) in [(false, false), (true, false), (false, true), (true, true)] {
+            let a = image_from_pool(w, h, &pool_a);
+            let b = image_from_pool(w, h, &pool_b);
+            if cache_a {
+                a.centered_norm();
+            }
+            if cache_b {
+                b.centered_norm();
+            }
+            let fast = ncc(&a, &b).expect("dims match");
+            prop_assert_eq!(fast.to_bits(), expected.to_bits(),
+                "cache state ({}, {}): fast {} != reference {}",
+                cache_a, cache_b, fast, expected);
+            prop_assert_eq!(a.centered_norm().to_bits(), reference_norm(&a).to_bits());
+            prop_assert_eq!(b.centered_norm().to_bits(), reference_norm(&b).to_bits());
+            // Both norms are cached now: a second query must reproduce the
+            // same bits.
+            prop_assert_eq!(ncc(&a, &b).unwrap().to_bits(), fast.to_bits());
+        }
+        // The self-correlation, from an empty cache (one image on both sides
+        // of the fused loop) and from a warm one.
+        let solo = image_from_pool(w, h, &pool_a);
+        let expected = reference_ncc(&solo, &solo).unwrap().to_bits();
+        prop_assert_eq!(ncc(&solo, &solo).unwrap().to_bits(), expected);
+        prop_assert_eq!(ncc(&solo, &solo).unwrap().to_bits(), expected);
+    }
+
+    /// `render_frame` draws the target row by row, right after each row's
+    /// background, and stores the mean it sums as it goes. Its pixels equal
+    /// the historical box-free render plus the per-pixel `get`/`set` target
+    /// pass, and its mean equals one left-to-right sum, for a drawn box,
+    /// boxes clipped at each edge, boxes empty after clamping and no box.
+    #[test]
+    fn row_wise_render_is_bit_identical_to_per_pixel_target_pass(
+        dims in (8usize..48, 8usize..48),
+        look in (0u64..32, 0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64),
+        shake in (0.0..0.3f64, -0.2..0.2f64, -0.2..0.2f64, 0u64..u64::MAX),
+        drawn in ((-20.0..60.0f64, -20.0..60.0f64), (0.0..30.0f64, 0.0..30.0f64)),
+    ) {
+        let (w, h) = dims;
+        let appearance = SceneAppearance {
+            background_id: look.0 as u32,
+            clutter: look.1,
+            contrast: look.2,
+            lighting: look.3,
+            noise: shake.0,
+            camera_dx: shake.1,
+            camera_dy: shake.2,
+        };
+        let seed = shake.3;
+        let ((x, y), (bw, bh)) = drawn;
+        let (fw, fh) = (w as f64, h as f64);
+        let (ew, eh) = (bw + 2.0, bh + 2.0);
+        let boxes = [
+            Some(BoundingBox::new(x, y, bw, bh)),
+            // Clipped at the left, right, top and bottom edges.
+            Some(BoundingBox::from_center(0.0, fh / 2.0, ew, eh)),
+            Some(BoundingBox::from_center(fw, fh / 2.0, ew, eh)),
+            Some(BoundingBox::from_center(fw / 2.0, 0.0, ew, eh)),
+            Some(BoundingBox::from_center(fw / 2.0, fh, ew, eh)),
+            // Empty after clamping: wholly outside, and of zero width.
+            Some(BoundingBox::new(fw + 1.0 + x.abs(), y, bw, bh)),
+            Some(BoundingBox::new(x, -(bh + 1.0 + y.abs()), bw, bh)),
+            Some(BoundingBox::new(x, y, 0.0, bh)),
+            None,
+        ];
+        let bits = |img: &GrayImage| img.pixels().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for target in &boxes {
+            let fast = render_frame(w, h, &appearance, target.as_ref(), seed);
+            let slow = reference_render(w, h, &appearance, target.as_ref(), seed);
+            prop_assert_eq!(bits(&fast), bits(&slow),
+                "pixels differ for {:?} on a {}x{} frame", target, w, h);
+            prop_assert_eq!(fast.mean().to_bits(), reference_mean(&fast).to_bits(),
+                "stored mean {} drifted for {:?}", fast.mean(), target);
+        }
+    }
+
+    /// A clone shares its original's cached mean and norm until `set`
+    /// changes its pixels. From then on it recomputes its own, and the
+    /// original keeps its values; a second `set` on the now unshared clone
+    /// clears its cache again.
+    #[test]
+    fn set_on_a_clone_recomputes_its_moments_and_spares_the_original(
+        dims in (2usize..24, 2usize..24),
+        pool in proptest::collection::vec(0.0..1.0f64, 64..128),
+        edits in ((0usize..24, 0usize..24), (0usize..24, 0usize..24)),
+    ) {
+        let (w, h) = dims;
+        let original = image_from_pool(w, h, &pool);
+        let partner = GrayImage::from_fn(w, h, |x, y| ((x * 7 + y * 3) % 11) as f32 / 10.0);
+        // `ncc` stores the original's norm from its fused loop.
+        ncc(&original, &partner).expect("dims match");
+        let (mean, norm) = (original.mean(), original.centered_norm());
+        let mut copy = original.clone();
+        for (x, y) in [edits.0, edits.1] {
+            let (x, y) = (x % w, y % h);
+            let before = copy.mean();
+            let flipped = if copy.get(x, y) < 0.5 { 1.0 } else { 0.0 };
+            copy.set(x, y, flipped);
+            prop_assert!(copy.mean() != before, "a stale mean survived `set`");
+            prop_assert_eq!(copy.mean().to_bits(), reference_mean(&copy).to_bits());
+            prop_assert_eq!(copy.centered_norm().to_bits(), reference_norm(&copy).to_bits());
+            prop_assert_eq!(
+                ncc(&copy, &partner).unwrap().to_bits(),
+                reference_ncc(&copy, &partner).unwrap().to_bits()
+            );
+        }
+        prop_assert_eq!(original.mean().to_bits(), mean.to_bits());
+        prop_assert_eq!(original.centered_norm().to_bits(), norm.to_bits());
+        prop_assert_eq!(mean.to_bits(), reference_mean(&original).to_bits());
+        prop_assert_eq!(norm.to_bits(), reference_norm(&original).to_bits());
     }
 
     /// The fused crop-resize region scratch samples exactly the pixels the
