@@ -3,22 +3,28 @@
 //! [`compare`] diffs two [`Snapshot`]s bench-by-bench; [`Comparison`] then
 //! answers the CI question: is any hot path outside the allowed band? The
 //! band is symmetric in ratio space — with threshold `t`, a bench passes
-//! while `current / baseline` stays within `[1 / (1 + t), 1 + t]`. The slow
-//! side catches regressions; the fast side catches measurement drift (a
-//! "10x speedup" on an unchanged hot path means the bench broke or the
-//! runner lied, and the snapshot should be regenerated deliberately rather
-//! than silently absorbed). A bench present in the baseline but missing from
-//! the current run also fails the gate: deleting a hot-path bench must be an
-//! explicit decision.
+//! while `current / baseline` stays within `[1 / (1 + t), 1 + t]`; the CI
+//! gate's `t` is [`GATE_BAND`]. The slow side catches regressions; the fast
+//! side catches measurement drift (a "10x speedup" on an unchanged hot path
+//! means the bench broke or the runner lied, and the snapshot should be
+//! regenerated deliberately rather than silently absorbed). A bench present
+//! in the baseline but missing from the current run also fails the gate:
+//! deleting a hot-path bench must be an explicit decision.
 //!
-//! Two degenerate inputs are rejected rather than silently absorbed: a bench
-//! with a non-positive ns/op on either side fails the gate (its ratio is
-//! meaningless — the suite never emits one, so a zero-time row means a
-//! hand-edited or corrupted snapshot), and a non-positive `--threshold` is
-//! refused by the `repro bench-compare` CLI (a zero band degenerates to
-//! exact equality, a negative one rejects everything).
+//! Snapshots that time different work are not compared: the gate fails when
+//! the two were taken in different modes (the sizing differs) or from
+//! different seeds (the characterization, engine and synthetic adversarial
+//! fixture are all built from the seed). A bench with a non-positive ns/op
+//! on either side fails it too: its ratio is meaningless, and the suite
+//! never emits one, so a zero-time row means a hand-edited or corrupted
+//! snapshot.
 
 use crate::snapshot::Snapshot;
+
+/// The gate's band: `repro bench-compare` fails a bench whose time moved by
+/// more than ±30% in ratio space. The committed seed was measured on another
+/// machine, so the band absorbs run-to-run noise plus moderate hardware skew.
+pub const GATE_BAND: f64 = 0.3;
 
 /// One bench present in both snapshots.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,6 +78,10 @@ pub struct Comparison {
     /// Whether the two snapshots were taken in the same mode; comparing a
     /// `smoke` run against a `full` baseline is meaningless and fails.
     pub modes_match: bool,
+    /// Whether the two snapshots were taken from the same seed; the suite
+    /// builds its fixtures from the seed, so different seeds time different
+    /// work and fail.
+    pub seeds_match: bool,
 }
 
 /// Diffs `current` against `baseline`.
@@ -111,6 +121,7 @@ pub fn compare(baseline: &Snapshot, current: &Snapshot) -> Comparison {
         only_current,
         degenerate,
         modes_match: baseline.mode == current.mode,
+        seeds_match: baseline.seed == current.seed,
     }
 }
 
@@ -123,11 +134,12 @@ impl Comparison {
             .collect()
     }
 
-    /// Whether the gate passes: modes match, no baseline bench disappeared,
-    /// no bench carries a degenerate (non-positive) timing, and every shared
-    /// bench is within the band.
+    /// Whether the gate passes: modes and seeds match, no baseline bench
+    /// disappeared, no bench carries a degenerate (non-positive) timing, and
+    /// every shared bench is within the band.
     pub fn passes(&self, threshold: f64) -> bool {
         self.modes_match
+            && self.seeds_match
             && self.only_baseline.is_empty()
             && self.degenerate.is_empty()
             && self.out_of_band(threshold).is_empty()
@@ -169,6 +181,9 @@ impl Comparison {
         }
         if !self.modes_match {
             out.push_str("MODE baseline and current snapshots were taken in different modes\n");
+        }
+        if !self.seeds_match {
+            out.push_str("SEED baseline and current snapshots were taken from different seeds\n");
         }
         let verdict = if self.passes(threshold) {
             format!(
@@ -267,6 +282,24 @@ mod tests {
         let comparison = compare(&full, &smoke);
         assert!(!comparison.modes_match);
         assert!(!comparison.passes(10.0));
+    }
+
+    #[test]
+    fn seed_mismatch_fails_with_a_seed_line() {
+        let baseline = snapshot("smoke", &[("x/a", 100.0)]);
+        let mut current = baseline.clone();
+        current.seed = 7;
+        let comparison = compare(&baseline, &current);
+        assert!(comparison.modes_match);
+        assert!(!comparison.seeds_match);
+        assert!(
+            !comparison.passes(10.0),
+            "different fixtures fail any threshold"
+        );
+        let report = comparison.report(GATE_BAND);
+        assert!(report.contains("SEED "));
+        assert!(report.contains("FAIL"));
+        assert!(compare(&baseline, &baseline.clone()).seeds_match);
     }
 
     #[test]

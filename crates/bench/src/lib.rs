@@ -1,72 +1,22 @@
 //! # shift-bench
 //!
-//! Criterion benchmarks for the SHIFT reproduction. The benchmark targets
-//! mirror the paper's quantitative claims:
-//!
-//! * `scheduler_overhead` — the per-frame decision cost of Algorithm 1
-//!   (paper claim: "an overhead of less than 2 milliseconds per frame").
-//! * `confidence_graph` — confidence-graph construction and lookup cost as a
-//!   function of validation-set size.
-//! * `ncc` — the cost of the NCC context-similarity computation vs. frame
-//!   resolution.
-//! * `tables` — end-to-end regeneration cost of Table I, Table III and
-//!   Table IV rows.
-//! * `sensitivity` — throughput of the Fig. 5 parameter sweep.
-//! * `ablations` — design-choice ablations: confidence graph vs. naive
-//!   confidence passthrough, LRU loader vs. evict-all loader, and the
-//!   similarity gate on vs. off.
-//!
-//! Beyond the Criterion targets, the crate is the workspace's
-//! **perf-regression subsystem**:
+//! The workspace's **perf-regression subsystem**, the micro half of its
+//! measurement stack (the end-to-end half is the separate `perfbench/`
+//! package):
 //!
 //! * [`suite`] — a fixed set of named micro benches over the hot paths
 //!   (confidence-graph lookup, scheduler arg-max, NCC context detection,
 //!   LRU loader churn, fleet step), each reduced to a
 //!   [`TimingRow`](shift_metrics::TimingRow);
-//! * [`snapshot`] — the machine-readable `BENCH_micro.json` format (suite
-//!   rows plus the stress sweep's wall-clock timings folded in) and the
+//! * [`snapshot`] — the machine-readable `BENCH_micro.json` format and the
 //!   minimal JSON parser it needs in this serde_json-less workspace;
-//! * [`compare`] — the CI gate: diffs two snapshots and fails past a
-//!   configurable regression band.
+//! * [`compare`] — the CI gate: diffs two snapshots and fails past the
+//!   ±[`GATE_BAND`](compare::GATE_BAND) regression band.
 //!
 //! `cargo run -p shift-experiments --bin repro -- bench` runs the suite and
 //! writes the snapshot; `repro -- bench-compare <baseline> <current>` gates
-//! it. This crate also exposes a small library of shared fixtures so the
-//! benches do not duplicate setup code.
+//! it.
 
 pub mod compare;
 pub mod snapshot;
 pub mod suite;
-
-use shift_core::{characterize, Characterization};
-use shift_models::{ModelZoo, ResponseModel};
-use shift_soc::{ExecutionEngine, Platform};
-use shift_video::CharacterizationDataset;
-
-/// Builds the standard engine used by every benchmark.
-pub fn bench_engine(seed: u64) -> ExecutionEngine {
-    ExecutionEngine::new(
-        Platform::xavier_nx_with_oak(),
-        ModelZoo::standard(),
-        ResponseModel::new(seed),
-    )
-}
-
-/// Builds a characterization of the given size for benchmark setup.
-pub fn bench_characterization(samples: usize, seed: u64) -> Characterization {
-    let engine = bench_engine(seed);
-    characterize(&engine, &CharacterizationDataset::generate(samples, seed))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixtures_build() {
-        let engine = bench_engine(1);
-        assert_eq!(engine.zoo().len(), 8);
-        let characterization = bench_characterization(40, 1);
-        assert_eq!(characterization.sample_count(), 40);
-    }
-}

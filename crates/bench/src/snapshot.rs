@@ -1,9 +1,7 @@
 //! Machine-readable perf snapshots (`BENCH_micro.json`).
 //!
-//! A snapshot records one run of the [`suite`](crate::suite) — per-bench
-//! nanoseconds-per-op [`TimingRow`]s — plus, when available, the stress
-//! sweep's `BENCH_stress.json` wall-clock timings folded in, so one file
-//! carries both the micro and the macro view of a commit's performance. The
+//! A snapshot records one run of the [`suite`](crate::suite): its mode, its
+//! seed and the per-bench nanoseconds-per-op [`TimingRow`]s. The
 //! [`compare`](crate::compare) gate diffs two snapshots in CI.
 //!
 //! The workspace has no serde_json (the vendored `serde` derives are no-ops,
@@ -282,102 +280,38 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, SnapshotErro
     }
 }
 
-/// The stress timings folded into a micro snapshot (the subset of
-/// `BENCH_stress.json` the perf gate cares about).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StressTimings {
-    /// `sweep_wall_s`: wall-clock seconds of the scenario-grid sweep.
-    pub sweep_wall_s: f64,
-    /// `soak_wall_s`: wall-clock seconds of the fleet soak.
-    pub soak_wall_s: f64,
-    /// `total_wall_s`: end-to-end wall-clock seconds of the stress artifact.
-    pub total_wall_s: f64,
-}
-
-/// Parses and validates a `BENCH_stress.json` document: it must be a JSON
-/// object whose `sweep_wall_s` / `soak_wall_s` / `total_wall_s` members are
-/// numbers with `total_wall_s > 0` (a stress run that took no time never
-/// happened — this is the CI assertion for the smoke sweep).
-///
-/// # Errors
-///
-/// [`SnapshotError`] when the document is malformed, a timing member is
-/// missing, or `total_wall_s` is not positive.
-pub fn validate_stress(text: &str) -> Result<StressTimings, SnapshotError> {
-    let value = parse_json(text)?;
-    let timing = |key: &str| -> Result<f64, SnapshotError> {
-        value
-            .get(key)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| SnapshotError::Schema(format!("missing numeric `{key}`")))
-    };
-    let timings = StressTimings {
-        sweep_wall_s: timing("sweep_wall_s")?,
-        soak_wall_s: timing("soak_wall_s")?,
-        total_wall_s: timing("total_wall_s")?,
-    };
-    if timings.total_wall_s <= 0.0 {
-        return Err(SnapshotError::Schema(format!(
-            "total_wall_s must be > 0, got {}",
-            timings.total_wall_s
-        )));
-    }
-    Ok(timings)
-}
-
 /// One `BENCH_micro.json` snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// `"full"` or `"smoke"` (snapshots of different modes are not
     /// comparable — the gate refuses to diff them).
     pub mode: String,
-    /// The seed the suite fixtures were built from.
+    /// The seed the suite fixtures were built from (snapshots of different
+    /// seeds time different fixtures — the gate refuses to diff them too).
     pub seed: u64,
     /// Per-bench measurements, in suite order.
     pub benches: Vec<TimingRow>,
-    /// The folded-in stress timings, when the suite ran next to a
-    /// `BENCH_stress.json`.
-    pub stress: Option<StressTimings>,
 }
 
 impl Snapshot {
-    /// Creates a snapshot with no stress timings.
+    /// Creates a snapshot.
     pub fn new(mode: impl Into<String>, seed: u64, benches: Vec<TimingRow>) -> Self {
         Self {
             mode: mode.into(),
             seed,
             benches,
-            stress: None,
         }
-    }
-
-    /// Folds a `BENCH_stress.json` document into the snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`validate_stress`] failures.
-    pub fn with_stress(mut self, stress_json: &str) -> Result<Self, SnapshotError> {
-        self.stress = Some(validate_stress(stress_json)?);
-        Ok(self)
     }
 
     /// Serializes the snapshot to the `BENCH_micro.json` wire format
     /// (single line, trailing newline, stable member order).
     pub fn to_json(&self) -> String {
         let benches: Vec<String> = self.benches.iter().map(TimingRow::json_fragment).collect();
-        let stress = match &self.stress {
-            Some(t) => format!(
-                "{{\"sweep_wall_s\":{:.3},\"soak_wall_s\":{:.3},\"total_wall_s\":{:.3}}}",
-                t.sweep_wall_s, t.soak_wall_s, t.total_wall_s
-            ),
-            None => "null".to_string(),
-        };
         format!(
-            "{{\"artifact\":\"micro\",\"mode\":\"{}\",\"seed\":{},\"benches\":[{}],\"stress\":{}}}\n",
+            "{{\"artifact\":\"micro\",\"mode\":\"{}\",\"seed\":{},\"benches\":[{}]}}\n",
             self.mode,
             self.seed,
-            benches.join(","),
-            stress
+            benches.join(",")
         )
     }
 
@@ -422,27 +356,10 @@ impl Snapshot {
                 ))
             })
             .collect::<Result<Vec<_>, SnapshotError>>()?;
-        let stress = match value.get("stress") {
-            None | Some(JsonValue::Null) => None,
-            Some(stress) => {
-                let timing = |key: &str| {
-                    stress
-                        .get(key)
-                        .and_then(JsonValue::as_f64)
-                        .ok_or_else(|| SnapshotError::Schema(format!("stress missing `{key}`")))
-                };
-                Some(StressTimings {
-                    sweep_wall_s: timing("sweep_wall_s")?,
-                    soak_wall_s: timing("soak_wall_s")?,
-                    total_wall_s: timing("total_wall_s")?,
-                })
-            }
-        };
         Ok(Self {
             mode,
             seed,
             benches,
-            stress,
         })
     }
 }
@@ -450,6 +367,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::BENCH_NAMES;
 
     #[test]
     fn snapshot_round_trips_through_json() {
@@ -466,42 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn stress_timings_fold_in_and_round_trip() {
-        let stress = r#"{"artifact":"stress","mode":"full","sweep_wall_s":22.890,"soak_wall_s":0.666,"total_wall_s":23.555}"#;
-        let snapshot = Snapshot::new("full", 7, vec![TimingRow::new("a/b", 1.0, 1, 1)])
-            .with_stress(stress)
-            .expect("stress folds in");
-        let parsed = Snapshot::parse(&snapshot.to_json()).expect("parses");
-        let timings = parsed.stress.expect("stress present");
-        assert!((timings.total_wall_s - 23.555).abs() < 1e-9);
-        assert!((timings.sweep_wall_s - 22.89).abs() < 1e-9);
-    }
-
-    #[test]
-    fn validate_stress_accepts_the_committed_seed_shape() {
-        let text = r#"{"artifact":"stress","mode":"full","seed":2024,"classes":8,"replicas":8,"scenarios":64,"methods":3,"sweep_frames":146898,"soak_streams":6,"soak_frames":4529,"sweep_wall_s":22.890,"soak_wall_s":0.666,"total_wall_s":23.555}"#;
-        let timings = validate_stress(text).expect("seed snapshot validates");
-        assert!(timings.total_wall_s > 0.0);
-    }
-
-    #[test]
-    fn validate_stress_rejects_zero_wall_time_and_garbage() {
-        let zero = r#"{"sweep_wall_s":0.0,"soak_wall_s":0.0,"total_wall_s":0.0}"#;
-        assert!(matches!(
-            validate_stress(zero),
-            Err(SnapshotError::Schema(_))
-        ));
-        assert!(matches!(
-            validate_stress("not json at all"),
-            Err(SnapshotError::Malformed(..))
-        ));
-        assert!(matches!(
-            validate_stress(r#"{"total_wall_s":"fast"}"#),
-            Err(SnapshotError::Schema(_))
-        ));
-    }
-
-    #[test]
     fn parser_handles_nesting_escapes_and_rejects_trailing_garbage() {
         let value = parse_json(r#"{"a":[1,-2.5,true,null],"b":{"c":"x\"y\nA"}}"#).unwrap();
         assert_eq!(
@@ -512,6 +394,26 @@ mod tests {
         assert!(parse_json("{} trailing").is_err());
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("{\"unterminated").is_err());
+        assert!(matches!(
+            parse_json("not json at all"),
+            Err(SnapshotError::Malformed(..))
+        ));
+    }
+
+    /// The committed seed the CI gate diffs against is a smoke-mode run of
+    /// exactly the suite's benches, in order, and is what `to_json` writes.
+    #[test]
+    fn committed_micro_seed_parses_and_round_trips_byte_for_byte() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_micro.json");
+        let text = std::fs::read_to_string(path).expect("the micro seed is committed");
+        let seed = Snapshot::parse(&text).expect("the micro seed parses");
+        assert_eq!(seed.mode, "smoke");
+        let names: Vec<&str> = seed.benches.iter().map(|b| b.name.as_str()).collect();
+        assert_eq!(names, BENCH_NAMES);
+        for bench in &seed.benches {
+            assert!(bench.ns_per_op > 0.0, "{} has no time", bench.name);
+        }
+        assert_eq!(seed.to_json(), text);
     }
 
     #[test]

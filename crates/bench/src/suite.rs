@@ -1,9 +1,7 @@
 //! The named micro-benchmark suite over SHIFT's hot paths.
 //!
-//! Unlike the Criterion targets under `benches/` (interactive, human-read),
-//! this suite is the machine-facing half of the perf-regression subsystem:
-//! it measures a fixed set of named hot paths and reduces each to one
-//! [`TimingRow`], which [`snapshot`](crate::snapshot) serializes to
+//! The suite measures a fixed set of named hot paths and reduces each to
+//! one [`TimingRow`], which [`snapshot`](crate::snapshot) serializes to
 //! `BENCH_micro.json` and [`compare`](crate::compare) gates in CI.
 //!
 //! The benches mirror the operations the paper's "< 2 ms/frame
@@ -18,19 +16,18 @@
 //! | `ncc/region` | the bbox-crop NCC through the reusable region scratch |
 //! | `similarity/frame` | the stateless full-frame + crop similarity helper |
 //! | `loader/lru_churn` | an LRU load + eviction cycle under memory pressure |
-//! | `fleet/step` | one shared-SoC fleet scheduling step (3 streams) |
+//! | `fleet/step` | one shared-SoC fleet scheduling step (3 streams); `ShiftRuntime::process_frame` runs this loop on a one-slot fleet, so the row also covers the whole-frame cost behind the "< 2 ms" claim |
 //! | `fleet/step_adversarial` | the same step over the worst-case fleet: the minimized hunt-corpus scenarios under a scripted fault plan |
 
-use crate::{bench_characterization, bench_engine};
 use shift_core::fleet::{FleetBuilder, FleetConfig, StreamSpec};
 use shift_core::{
-    CandidatePair, ConfidenceGraph, ContextDetector, DynamicModelLoader, GraphConfig, Scheduler,
-    ShiftConfig,
+    characterize, CandidatePair, Characterization, ConfidenceGraph, ContextDetector,
+    DynamicModelLoader, GraphConfig, Scheduler, ShiftConfig,
 };
 use shift_metrics::TimingRow;
-use shift_models::ModelId;
-use shift_soc::{AcceleratorId, FaultPlan, FaultSpec};
-use shift_video::Scenario;
+use shift_models::{ModelId, ModelZoo, ResponseModel};
+use shift_soc::{AcceleratorId, ExecutionEngine, FaultPlan, FaultSpec, Platform};
+use shift_video::{CharacterizationDataset, Scenario};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -122,6 +119,23 @@ impl SuiteOptions {
             fleet_frames: 200,
         }
     }
+}
+
+/// The engine every bench fixture runs on.
+fn bench_engine(seed: u64) -> ExecutionEngine {
+    ExecutionEngine::new(
+        Platform::xavier_nx_with_oak(),
+        ModelZoo::standard(),
+        ResponseModel::new(seed),
+    )
+}
+
+/// A characterization of `samples` frames on [`bench_engine`].
+fn bench_characterization(samples: usize, seed: u64) -> Characterization {
+    characterize(
+        &bench_engine(seed),
+        &CharacterizationDataset::generate(samples, seed),
+    )
 }
 
 /// Times `op`: one calibration call picks the per-batch iteration count,
@@ -309,6 +323,14 @@ mod tests {
             characterization_samples: 60,
             fleet_frames: 40,
         }
+    }
+
+    #[test]
+    fn fixtures_build() {
+        let engine = bench_engine(1);
+        assert_eq!(engine.zoo().len(), 8);
+        let characterization = bench_characterization(40, 1);
+        assert_eq!(characterization.sample_count(), 40);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! cargo run --release -p shift-experiments --bin repro -- --jobs 4 stress
 //! cargo run --release -p shift-experiments --bin repro -- bench
 //! cargo run --release -p shift-experiments --bin repro -- bench-compare a.json b.json
-//! cargo run --release -p shift-experiments --bin repro -- check-stress BENCH_stress.json
 //! ```
 //!
 //! Artifacts: `table1`, `table3`, `table4`, `fig1`, `fig2`, `fig3`, `fig4`,
@@ -22,10 +21,9 @@
 //! degraded / rejected / detached / shed under SLO-aware admission;
 //! byte-identical for any `--jobs` and in both execution modes) —
 //! `stress` — the generated-scenario difficulty-grid sweep
-//! plus fleet soak, which also writes a `BENCH_stress.json` timing snapshot —
+//! plus fleet soak —
 //! `chaos` — the fault-plan × scenario resilience grid, which writes
-//! `CHAOS_resilience.csv` (and, when the same invocation ran `stress`, folds
-//! its wall time into `BENCH_stress.json`) — `hunt` — the coverage-guided
+//! `CHAOS_resilience.csv` — `hunt` — the coverage-guided
 //! adversarial scenario search, which writes `HUNT_findings.csv` (one row
 //! per minimized failure; `--budget N` overrides the mutant-evaluation
 //! budget and `--corpus-out DIR` additionally emits each minimized finding
@@ -35,15 +33,12 @@
 //! cluster size: admission/shed/migration counts, energy, streams-per-joule
 //! and p50/p99 latency; byte-identical for any `--jobs` and in both
 //! execution modes) — and `bench` — the perf-regression micro
-//! suite, which writes `BENCH_micro.json` (when the same invocation also
-//! ran `stress`, as in `repro -- stress bench`, the fresh stress timings
-//! are folded in).
+//! suite, which writes `BENCH_micro.json`.
 //!
-//! Standalone gate modes: `bench-compare <baseline> <current>
-//! [--threshold F]` diffs two `BENCH_micro.json` snapshots and exits
-//! non-zero when any bench leaves the ±threshold band; `check-stress <path>`
-//! validates that a `BENCH_stress.json` parses and carries a positive
-//! `total_wall_s`.
+//! Standalone gate mode: `bench-compare <baseline> <current>` diffs two
+//! `BENCH_micro.json` snapshots and exits non-zero when any bench leaves
+//! the ±30% band (`shift_bench::compare::GATE_BAND`), a bench disappears,
+//! or the snapshots differ in mode or seed.
 //!
 //! `--quick` uses the reduced dataset and scaled-down scenarios (useful for
 //! smoke tests); `--smoke` additionally shrinks the stress sweep to one
@@ -107,37 +102,10 @@ fn write_atomic(path: &str, contents: &str) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// `repro -- bench-compare <baseline> <current> [--threshold F]`.
+/// `repro -- bench-compare <baseline> <current>`.
 fn run_bench_compare(args: &[String]) -> ExitCode {
-    let mut threshold = 0.5f64;
-    let mut paths: Vec<&String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--threshold" => {
-                let Some(value) = iter.next() else {
-                    eprintln!("--threshold requires a value (fraction, e.g. 0.5 for ±50%)");
-                    return ExitCode::FAILURE;
-                };
-                match value.parse::<f64>() {
-                    Ok(v) if v > 0.0 && v.is_finite() => threshold = v,
-                    _ => {
-                        // A zero threshold degenerates the ±band to exact
-                        // equality and a negative one rejects everything;
-                        // neither is a meaningful gate.
-                        eprintln!(
-                            "invalid threshold `{value}`: must be a positive finite \
-                             fraction (e.g. 0.5 for ±50%)"
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            _ => paths.push(arg),
-        }
-    }
-    let [baseline_path, current_path] = paths.as_slice() else {
-        eprintln!("usage: repro bench-compare <baseline.json> <current.json> [--threshold F]");
+    let [baseline_path, current_path] = args else {
+        eprintln!("usage: repro bench-compare <baseline.json> <current.json>");
         return ExitCode::FAILURE;
     };
     let load = |path: &str| -> Result<shift_bench::snapshot::Snapshot, String> {
@@ -154,49 +122,20 @@ fn run_bench_compare(args: &[String]) -> ExitCode {
         }
     };
     let comparison = shift_bench::compare::compare(&baseline, &current);
-    print!("{}", comparison.report(threshold));
-    if comparison.passes(threshold) {
+    let band = shift_bench::compare::GATE_BAND;
+    print!("{}", comparison.report(band));
+    if comparison.passes(band) {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
 }
 
-/// `repro -- check-stress <path>`.
-fn run_check_stress(args: &[String]) -> ExitCode {
-    let [path] = args else {
-        eprintln!("usage: repro check-stress <BENCH_stress.json>");
-        return ExitCode::FAILURE;
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("cannot read {path}: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match shift_bench::snapshot::validate_stress(&text) {
-        Ok(timings) => {
-            println!(
-                "{path}: ok (sweep {:.3} s + soak {:.3} s = total {:.3} s)",
-                timings.sweep_wall_s, timings.soak_wall_s, timings.total_wall_s
-            );
-            ExitCode::SUCCESS
-        }
-        Err(err) => {
-            eprintln!("{path}: {err}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Standalone gate modes take positional paths, not artifact lists.
-    match args.first().map(String::as_str) {
-        Some("bench-compare") => return run_bench_compare(&args[1..]),
-        Some("check-stress") => return run_check_stress(&args[1..]),
-        _ => {}
+    // The standalone gate mode takes positional paths, not artifact lists.
+    if args.first().map(String::as_str) == Some("bench-compare") {
+        return run_bench_compare(&args[1..]);
     }
 
     let mut quick = false;
@@ -293,11 +232,6 @@ fn main() -> ExitCode {
     }
     .with_jobs(jobs);
 
-    // The stress timing JSON this invocation itself produced, if any; the
-    // `bench` artifact only folds stress timings with that provenance (held
-    // in memory rather than re-read from disk, so nothing that touches
-    // BENCH_stress.json between the two artifacts can be misattributed).
-    let mut stress_json: Option<String> = None;
     for artifact in &requested {
         eprintln!("# generating {artifact}...");
         let result = match artifact.as_str() {
@@ -360,18 +294,7 @@ fn main() -> ExitCode {
                 } else {
                     stress::StressOptions::full()
                 };
-                match stress::artifact(&ctx, &options) {
-                    Ok(artifact) => {
-                        if let Err(err) = write_atomic("BENCH_stress.json", &artifact.bench_json) {
-                            eprintln!("failed to write BENCH_stress.json: {err}");
-                            return ExitCode::FAILURE;
-                        }
-                        eprintln!("# wrote BENCH_stress.json");
-                        stress_json = Some(artifact.bench_json);
-                        Ok(artifact.table)
-                    }
-                    Err(err) => Err(err),
-                }
+                stress::artifact(&ctx, &options)
             }
             "chaos" => {
                 let options = if smoke {
@@ -386,19 +309,6 @@ fn main() -> ExitCode {
                             return ExitCode::FAILURE;
                         }
                         eprintln!("# wrote CHAOS_resilience.csv");
-                        // Fold the chaos wall time into the stress timing
-                        // snapshot only when *this invocation* produced it
-                        // (`repro -- stress chaos`) — the same provenance
-                        // rule the bench artifact applies.
-                        if let Some(json) = stress_json.take() {
-                            let folded = chaos::fold_into_stress(&json, artifact.chaos_wall_s);
-                            if let Err(err) = write_atomic("BENCH_stress.json", &folded) {
-                                eprintln!("failed to update BENCH_stress.json: {err}");
-                                return ExitCode::FAILURE;
-                            }
-                            eprintln!("# folded chaos timing into BENCH_stress.json");
-                            stress_json = Some(folded);
-                        }
                         Ok(artifact.table)
                     }
                     Err(err) => Err(err),
@@ -460,23 +370,7 @@ fn main() -> ExitCode {
                     });
                 let rows = shift_bench::suite::run_suite_with(seed, &options, &fixture);
                 let mode = if smoke { "smoke" } else { "full" };
-                let mut snapshot = shift_bench::snapshot::Snapshot::new(mode, seed, rows.clone());
-                // Fold in the stress timings only when *this invocation*
-                // generated them (`repro -- stress bench`): a BENCH_stress.json
-                // merely sitting in the working directory — the committed
-                // seed in a fresh checkout, or a leftover from another run —
-                // is another machine's (or commit's) timing and must not be
-                // stamped into this run's snapshot.
-                match &stress_json {
-                    Some(json) => match snapshot.clone().with_stress(json) {
-                        Ok(folded) => snapshot = folded,
-                        Err(err) => eprintln!("# ignoring this run's stress timings: {err}"),
-                    },
-                    None => eprintln!(
-                        "# not folding stress timings (run `repro -- stress bench` to \
-                         capture both in one snapshot)"
-                    ),
-                }
+                let snapshot = shift_bench::snapshot::Snapshot::new(mode, seed, rows.clone());
                 if let Err(err) = write_atomic("BENCH_micro.json", &snapshot.to_json()) {
                     eprintln!("failed to write BENCH_micro.json: {err}");
                     return ExitCode::FAILURE;
@@ -524,14 +418,12 @@ fn print_help() {
     eprintln!(
         "usage: repro [--quick] [--smoke] [--seed N] [--jobs N] \
          [--budget N] [--corpus-out DIR] [artifact...]\n       \
-         repro bench-compare <baseline.json> <current.json> [--threshold F]\n       \
-         repro check-stress <BENCH_stress.json>"
+         repro bench-compare <baseline.json> <current.json>"
     );
     eprintln!(
         "artifacts: {} | all (paper artifacts) | ablations (ablation studies)",
         ARTIFACTS.join(" | ")
     );
-    eprintln!("standalone gate modes: bench-compare | check-stress");
     eprintln!(
         "--smoke implies --quick, shrinks `stress` to <= 8 scenarios, `chaos` to an 18-cell \
          grid, `hunt` to a few dozen evaluations, `serve` to two churn traces, `cluster` to a \

@@ -27,9 +27,7 @@
 //! plan-outlives-the-video path by construction.
 //!
 //! Run it with `cargo run --release -p shift-experiments --bin repro --
-//! chaos` (or `--smoke chaos` for the reduced CI grid). When the same
-//! invocation also ran `stress` (`repro -- stress chaos`), the chaos wall
-//! time is folded into `BENCH_stress.json`.
+//! chaos` (or `--smoke chaos` for the reduced CI grid).
 
 use crate::workloads::paper_shift_config;
 use crate::{outcome_to_record, ExperimentContext, ExperimentError};
@@ -38,7 +36,6 @@ use shift_core::FleetBuilder;
 use shift_metrics::{FrameRecord, ResilienceBreakdown, ResilienceRow, Table};
 use shift_soc::{FaultInjector, FaultPlan, FaultSpec, SocError};
 use shift_video::Scenario;
-use std::fmt::Write as _;
 
 /// The methodologies the chaos grid compares on every (plan, scenario) cell.
 pub const METHODS: [&str; 3] = ["SHIFT", "Marlin", "Oracle E"];
@@ -254,20 +251,16 @@ pub fn summary_csv(
     Ok(sweep(ctx, options)?.to_csv())
 }
 
-/// The rendered artifact plus the CSV and wall-clock timing the CI smoke
-/// step stores.
+/// The rendered artifact plus the CSV the CI smoke step stores.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosArtifact {
     /// The rendered per-(plan, method) resilience table.
     pub table: Table,
     /// `CHAOS_resilience.csv` contents.
     pub csv: String,
-    /// Wall-clock seconds the grid took (folded into `BENCH_stress.json`
-    /// when the same invocation ran `stress`).
-    pub chaos_wall_s: f64,
 }
 
-/// Runs the grid, renders the table and captures the CSV + timing.
+/// Runs the grid, renders the table and captures the CSV.
 ///
 /// # Errors
 ///
@@ -276,9 +269,7 @@ pub fn artifact(
     ctx: &ExperimentContext,
     options: &ChaosOptions,
 ) -> Result<ChaosArtifact, ExperimentError> {
-    let start = std::time::Instant::now();
     let breakdown = sweep(ctx, options)?;
-    let chaos_wall_s = start.elapsed().as_secs_f64();
 
     let mut table = Table::new(
         "Chaos sweep: goal attainment while the platform degrades",
@@ -317,24 +308,7 @@ pub fn artifact(
     Ok(ChaosArtifact {
         table,
         csv: breakdown.to_csv(),
-        chaos_wall_s,
     })
-}
-
-/// Folds the chaos wall time into a `BENCH_stress.json` document produced by
-/// the *same* invocation: inserts a `chaos_wall_s` member before the closing
-/// brace, leaving every existing member (including the `total_wall_s` the
-/// `check-stress` gate validates) untouched.
-pub fn fold_into_stress(stress_json: &str, chaos_wall_s: f64) -> String {
-    let trimmed = stress_json.trim_end();
-    let Some(head) = trimmed.strip_suffix('}') else {
-        // Not an object (should never happen for our own snapshot); leave it.
-        return stress_json.to_string();
-    };
-    let mut folded = String::with_capacity(trimmed.len() + 32);
-    let _ = write!(folded, "{head},\"chaos_wall_s\":{chaos_wall_s:.3}}}");
-    folded.push('\n');
-    folded
 }
 
 #[cfg(test)]
@@ -410,20 +384,5 @@ mod tests {
         assert!(artifact
             .csv
             .starts_with(shift_metrics::RESILIENCE_CSV_HEADER));
-        assert!(artifact.chaos_wall_s >= 0.0);
-    }
-
-    #[test]
-    fn stress_fold_inserts_the_chaos_member_and_keeps_the_gate_happy() {
-        let stress = "{\"artifact\":\"stress\",\"sweep_wall_s\":1.000,\
-                      \"soak_wall_s\":0.500,\"total_wall_s\":1.500}\n";
-        let folded = fold_into_stress(stress, 2.25);
-        assert!(folded.contains("\"chaos_wall_s\":2.250"));
-        assert!(folded.ends_with("}\n"));
-        let timings = shift_bench::snapshot::validate_stress(&folded)
-            .expect("folded snapshot still validates");
-        assert!((timings.total_wall_s - 1.5).abs() < 1e-9);
-        // Garbage passes through unchanged rather than corrupting further.
-        assert_eq!(fold_into_stress("not json", 1.0), "not json");
     }
 }

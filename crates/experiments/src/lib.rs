@@ -154,7 +154,7 @@ pub struct ExperimentContext {
 
 impl ExperimentContext {
     /// Full-fidelity context: the default validation-set size and full-length
-    /// scenarios. This is what the `repro` binary and the benches use.
+    /// scenarios. This is what the `repro` binary and perfbench use.
     pub fn new(seed: u64) -> Self {
         Self::with_options(seed, CharacterizationDataset::default_validation(seed), 1.0)
     }

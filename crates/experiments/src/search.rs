@@ -1070,7 +1070,7 @@ pub fn summary_csv(
     Ok(hunt(ctx, options)?.report.to_csv())
 }
 
-/// The rendered artifact plus the CSV, corpus cases and wall-clock timing.
+/// The rendered artifact plus the CSV and corpus cases.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HuntArtifact {
     /// The rendered findings table.
@@ -1079,8 +1079,6 @@ pub struct HuntArtifact {
     pub csv: String,
     /// The minimized findings as committable corpus cases.
     pub cases: Vec<CorpusCase>,
-    /// Wall-clock seconds the hunt took.
-    pub hunt_wall_s: f64,
 }
 
 /// Runs the hunt, renders the findings table and captures the CSV + cases.
@@ -1092,9 +1090,7 @@ pub fn artifact(
     ctx: &ExperimentContext,
     options: &HuntOptions,
 ) -> Result<HuntArtifact, ExperimentError> {
-    let start = std::time::Instant::now();
     let outcome = hunt(ctx, options)?;
-    let hunt_wall_s = start.elapsed().as_secs_f64();
     let mut table = Table::new(
         "Adversarial hunt: minimized SHIFT failure signals",
         &[
@@ -1128,7 +1124,6 @@ pub fn artifact(
         table,
         csv: outcome.report.to_csv(),
         cases: outcome.cases,
-        hunt_wall_s,
     })
 }
 

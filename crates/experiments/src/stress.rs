@@ -17,8 +17,7 @@
 //! run is required to meet its class's accuracy goal.
 //!
 //! Run it with `cargo run --release -p shift-experiments --bin repro --
-//! stress` (or `--smoke stress` for the reduced <= 8-scenario CI sweep,
-//! which also emits the `BENCH_stress.json` timing snapshot).
+//! stress` (or `--smoke stress` for the reduced <= 8-scenario CI sweep).
 
 use crate::workloads::paper_shift_config;
 use crate::{fleet::FleetScalePoint, ExperimentContext, ExperimentError};
@@ -26,7 +25,6 @@ use shift_baselines::{MarlinConfig, OracleObjective};
 use shift_core::fleet::StreamSpec;
 use shift_metrics::{ScenarioBreakdown, ScenarioRow, Table, FLEET_CSV_HEADER, STREAM_CSV_HEADER};
 use shift_video::{Scenario, ScenarioGenerator, ScenarioLibrary, ScenarioSpec};
-use std::fmt::Write as _;
 
 /// The methodologies the sweep compares on every generated scenario, in row
 /// order: SHIFT, the strongest single-model baseline and the energy oracle.
@@ -185,17 +183,8 @@ pub fn summary_csv(
     Ok(csv)
 }
 
-/// The rendered artifact plus the timing snapshot the CI smoke step stores.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StressArtifact {
-    /// The rendered difficulty-grid table (per-class aggregates + the soak).
-    pub table: Table,
-    /// `BENCH_stress.json` contents: wall-clock timings of the run.
-    pub bench_json: String,
-}
-
-/// Runs the sweep and the soak, renders the table and captures the timing
-/// snapshot.
+/// Runs the sweep and the soak and renders the difficulty-grid table
+/// (per-class aggregates + the soak).
 ///
 /// # Errors
 ///
@@ -203,14 +192,9 @@ pub struct StressArtifact {
 pub fn artifact(
     ctx: &ExperimentContext,
     options: &StressOptions,
-) -> Result<StressArtifact, ExperimentError> {
-    let sweep_start = std::time::Instant::now();
+) -> Result<Table, ExperimentError> {
     let breakdown = sweep(ctx, options)?;
-    let sweep_wall_s = sweep_start.elapsed().as_secs_f64();
-
-    let soak_start = std::time::Instant::now();
     let point = soak(ctx, options)?;
-    let soak_wall_s = soak_start.elapsed().as_secs_f64();
 
     let mut table = Table::new(
         "Stress sweep: SHIFT vs baselines over the generated difficulty grid",
@@ -259,28 +243,7 @@ pub fn artifact(
         format!("{}/{}", point.fleet.streams_meeting_goal, point.streams),
     ]);
 
-    let sweep_frames: usize = breakdown.rows().iter().map(|r| r.frames).sum();
-    let mode = if ctx.scale() < 1.0 { "quick" } else { "full" };
-    let mut bench_json = String::new();
-    let _ = write!(
-        bench_json,
-        "{{\"artifact\":\"stress\",\"mode\":\"{mode}\",\"seed\":{},\
-         \"classes\":{},\"replicas\":{},\"scenarios\":{},\"methods\":{},\
-         \"sweep_frames\":{sweep_frames},\"soak_streams\":{},\"soak_frames\":{},\
-         \"sweep_wall_s\":{sweep_wall_s:.3},\"soak_wall_s\":{soak_wall_s:.3},\
-         \"total_wall_s\":{:.3}}}",
-        ctx.seed(),
-        ScenarioLibrary::standard().len(),
-        options.replicas,
-        ScenarioLibrary::standard().len() * options.replicas,
-        METHODS.len(),
-        point.streams,
-        point.fleet.frames,
-        sweep_wall_s + soak_wall_s,
-    );
-    bench_json.push('\n');
-
-    Ok(StressArtifact { table, bench_json })
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -348,15 +311,12 @@ mod tests {
     #[test]
     fn artifact_renders_the_grid_and_the_soak_row() {
         let ctx = ExperimentContext::quick(35);
-        let artifact = artifact(&ctx, &StressOptions::smoke()).expect("artifact builds");
-        let md = artifact.table.to_markdown();
+        let table = artifact(&ctx, &StressOptions::smoke()).expect("artifact builds");
+        let md = table.to_markdown();
         for method in METHODS {
             assert!(md.contains(method), "missing {method}");
         }
         assert!(md.contains("fleet-soak"));
         assert!(md.contains("stable-scene"));
-        assert!(artifact.bench_json.contains("\"artifact\":\"stress\""));
-        assert!(artifact.bench_json.contains("\"mode\":\"quick\""));
-        assert!(artifact.bench_json.ends_with('\n'));
     }
 }

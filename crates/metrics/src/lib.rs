@@ -74,4 +74,4 @@ pub use session::{SessionReport, SessionRow, SESSION_CSV_HEADER};
 pub use stats::{mean, pearson_correlation, percentile, std_dev};
 pub use summary::RunSummary;
 pub use timeline::Timeline;
-pub use timing::{TimingRow, TIMING_CSV_HEADER};
+pub use timing::TimingRow;

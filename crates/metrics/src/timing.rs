@@ -2,12 +2,8 @@
 //!
 //! A [`TimingRow`] is the unit of the `shift-bench` micro suite: one named
 //! hot-path benchmark reduced to a nanoseconds-per-operation estimate. Rows
-//! serialize to a stable CSV line (for tables and diffing) and to the JSON
-//! fragment embedded in `BENCH_micro.json` snapshots, which the `compare`
-//! gate diffs across commits in CI.
-
-/// CSV header for [`TimingRow::csv_row`].
-pub const TIMING_CSV_HEADER: &str = "bench,ns_per_op,samples,iters_per_sample";
+//! serialize to the JSON fragment embedded in `BENCH_micro.json` snapshots,
+//! which the `compare` gate diffs across commits in CI.
 
 /// One micro-benchmark measurement: the minimum per-operation time observed
 /// across `samples` timed batches of `iters_per_sample` operations each.
@@ -44,14 +40,6 @@ impl TimingRow {
         }
     }
 
-    /// The stable CSV line for this row (see [`TIMING_CSV_HEADER`]).
-    pub fn csv_row(&self) -> String {
-        format!(
-            "{},{:.1},{},{}",
-            self.name, self.ns_per_op, self.samples, self.iters_per_sample
-        )
-    }
-
     /// The JSON object fragment embedded in `BENCH_micro.json`.
     pub fn json_fragment(&self) -> String {
         format!(
@@ -75,16 +63,6 @@ impl TimingRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn csv_row_matches_header_shape() {
-        let row = TimingRow::new("scheduler/argmax", 1234.56, 20, 100);
-        assert_eq!(row.csv_row(), "scheduler/argmax,1234.6,20,100");
-        assert_eq!(
-            row.csv_row().split(',').count(),
-            TIMING_CSV_HEADER.split(',').count()
-        );
-    }
 
     #[test]
     fn json_fragment_is_one_object() {
