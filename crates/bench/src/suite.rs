@@ -19,7 +19,7 @@
 //! | `fleet/step` | one shared-SoC fleet scheduling step (3 streams); `ShiftRuntime::process_frame` runs this loop on a one-slot fleet, so the row also covers the whole-frame cost behind the "< 2 ms" claim |
 //! | `fleet/step_adversarial` | the same step over the worst-case fleet: the minimized hunt-corpus scenarios under a scripted fault plan |
 
-use shift_core::fleet::{FleetBuilder, FleetConfig, StreamSpec};
+use shift_core::fleet::{FleetBuilder, StreamSpec};
 use shift_core::{
     characterize, CandidatePair, Characterization, ConfidenceGraph, ContextDetector,
     DynamicModelLoader, GraphConfig, Scheduler, ShiftConfig,
@@ -275,7 +275,6 @@ pub fn run_suite_with(
         })
         .collect::<Vec<_>>();
         FleetBuilder::new(bench_engine(seed), &characterization)
-            .config(FleetConfig::round_robin())
             .streams(specs)
             .build()
             .expect("bench fleet builds")
@@ -295,7 +294,6 @@ pub fn run_suite_with(
     // re-plans around it. Same rebuild-on-exhaustion protocol as above.
     let build_adversarial = || {
         FleetBuilder::new(bench_engine(seed), &characterization)
-            .config(FleetConfig::round_robin())
             .streams(fixture.specs.iter().cloned())
             .fault_plan(fixture.plan.clone())
             .build()

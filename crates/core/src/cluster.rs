@@ -52,17 +52,17 @@ impl std::fmt::Display for ClusterSessionId {
     }
 }
 
+/// Serialized stream state shipped per migration, megabytes (context graph,
+/// tracker state, warm statistics — not the model weights, which the
+/// destination re-warms through its own loader). It crosses a
+/// [`NetworkLink::wifi`] interconnect.
+const MIGRATION_STATE_MB: f64 = 24.0;
+
 /// Cluster-level policy knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterPolicy {
     /// Per-node admission policy (every node runs the same one).
     pub service: ServicePolicy,
-    /// The link model state crosses during a live migration.
-    pub link: NetworkLink,
-    /// Serialized stream state shipped per migration, megabytes (context
-    /// graph, tracker state, warm statistics — not the model weights, which
-    /// the destination re-warms through its own loader).
-    pub migration_payload_mb: f64,
     /// Consider one migration every this many cluster ticks (`0` disables
     /// rebalancing).
     pub rebalance_period: u64,
@@ -72,14 +72,11 @@ pub struct ClusterPolicy {
 }
 
 impl ClusterPolicy {
-    /// The default policy: per-node [`ServicePolicy::defaults`], a Wi-Fi
-    /// class interconnect, 24 MB of stream state per move, a rebalance scan
-    /// every 8 ticks gated on a 1.0 normalized-load gap.
+    /// The default policy: per-node [`ServicePolicy::defaults`] and a
+    /// rebalance scan every 8 ticks gated on a 1.0 normalized-load gap.
     pub fn defaults() -> Self {
         Self {
             service: ServicePolicy::defaults(),
-            link: NetworkLink::wifi(),
-            migration_payload_mb: 24.0,
             rebalance_period: 8,
             rebalance_gap: 1.0,
         }
@@ -89,12 +86,6 @@ impl ClusterPolicy {
     pub fn with_rebalance(mut self, period: u64, gap: f64) -> Self {
         self.rebalance_period = period;
         self.rebalance_gap = gap;
-        self
-    }
-
-    /// Returns a copy with a different interconnect.
-    pub fn with_link(mut self, link: NetworkLink) -> Self {
-        self.link = link;
         self
     }
 }
@@ -762,9 +753,7 @@ impl ClusterScheduler {
         // The state transfer rides the interconnect; a link outage at this
         // tick skips the round (the next cadence retries).
         let Some(report) =
-            self.policy
-                .link
-                .round_trip(self.clock as usize, self.policy.migration_payload_mb, 0.0)
+            NetworkLink::wifi().round_trip(self.clock as usize, MIGRATION_STATE_MB, 0.0)
         else {
             return;
         };

@@ -23,9 +23,8 @@
 //!   load cost: the second stream finds the model already resident and pays
 //!   nothing (cross-stream model reuse).
 //!
-//! Frame admission is round-robin by default; the [`FleetConfig::fairness`]
-//! knob trades strict fairness (admit the most-behind stream) against
-//! throughput (admit the stream whose accelerator frees up first).
+//! Frame admission is round-robin: each step admits the pending stream that
+//! has processed the fewest frames, the lowest index on ties.
 //!
 //! # The per-frame loop
 //!
@@ -176,35 +175,17 @@ impl<'a> StreamView<'a> {
     }
 }
 
-/// Fleet-level configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FleetConfig {
-    /// Admission-policy knob in `[0, 1]`.
-    ///
-    /// `1.0` (the default) admits the stream that has processed the fewest
-    /// frames — strict round-robin fairness. `0.0` admits the stream whose
-    /// target accelerator frees up first — throughput-first, which can
-    /// starve streams pinned to congested engines until the others drain.
-    /// Intermediate values blend the two rankings.
-    pub fairness: f64,
-}
+/// Fleet-level configuration. It has no field: admission is always
+/// round-robin. It exists only so the benchmark, which still passes
+/// `FleetConfig::round_robin()` to [`FleetBuilder::config`], builds
+/// unchanged.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FleetConfig;
 
 impl FleetConfig {
-    /// The default fleet configuration: strict round-robin admission.
+    /// The one fleet configuration: round-robin admission.
     pub fn round_robin() -> Self {
-        Self { fairness: 1.0 }
-    }
-
-    /// Returns a copy with a different fairness knob (clamped to `[0, 1]`).
-    pub fn with_fairness(mut self, fairness: f64) -> Self {
-        self.fairness = fairness.clamp(0.0, 1.0);
-        self
-    }
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        Self::round_robin()
+        Self
     }
 }
 
@@ -286,7 +267,7 @@ struct StreamState {
 ///
 /// ```
 /// use shift_core::prelude::*;
-/// use shift_core::fleet::{FleetConfig, FleetRuntime, StreamSpec};
+/// use shift_core::fleet::{FleetRuntime, StreamSpec};
 /// use shift_models::{ModelZoo, ResponseModel};
 /// use shift_soc::{ExecutionEngine, Platform};
 /// use shift_video::{CharacterizationDataset, Scenario};
@@ -301,7 +282,7 @@ struct StreamState {
 ///     StreamSpec::new("a", Scenario::scenario_3().with_num_frames(10), ShiftConfig::paper_defaults()),
 ///     StreamSpec::new("b", Scenario::scenario_2().with_num_frames(10), ShiftConfig::paper_defaults()),
 /// ];
-/// let mut fleet = FleetRuntime::new(engine, &characterization, FleetConfig::round_robin(), specs)?;
+/// let mut fleet = FleetRuntime::new(engine, &characterization, specs)?;
 /// let outcomes = fleet.run_to_completion()?;
 /// assert_eq!(outcomes.len(), 20);
 /// # Ok::<(), shift_core::ShiftError>(())
@@ -313,7 +294,6 @@ pub struct FleetRuntime {
     occupancy: OccupancyTracker,
     arbiter: MemoryArbiter,
     streams: Vec<StreamState>,
-    config: FleetConfig,
     /// Optional scripted fault injector, advanced to the fleet tick at the
     /// start of every step.
     injector: Option<FaultInjector>,
@@ -350,13 +330,12 @@ impl FleetRuntime {
     pub fn new(
         engine: ExecutionEngine,
         characterization: &Characterization,
-        config: FleetConfig,
         specs: Vec<StreamSpec>,
     ) -> Result<Self, ShiftError> {
         if specs.is_empty() {
             return Err(ShiftError::EmptyFleet);
         }
-        let mut fleet = Self::empty(engine, config);
+        let mut fleet = Self::empty(engine);
         for spec in specs {
             fleet.attach_shared(characterization, spec)?;
         }
@@ -368,14 +347,13 @@ impl FleetRuntime {
     /// streams join via [`FleetRuntime::attach_stream`] instead of at
     /// construction. The batch constructor [`FleetRuntime::new`] keeps
     /// rejecting empty spec lists.
-    pub fn empty(engine: ExecutionEngine, config: FleetConfig) -> Self {
+    pub fn empty(engine: ExecutionEngine) -> Self {
         Self {
             engine,
             loader: DynamicModelLoader::new(),
             occupancy: OccupancyTracker::new(),
             arbiter: MemoryArbiter::new(),
             streams: Vec::new(),
-            config,
             injector: None,
             steps: 0,
             ready: Vec::new(),
@@ -732,57 +710,15 @@ impl FleetRuntime {
         Ok(outcomes)
     }
 
-    /// Selects the stream to admit next from the ready set: the argmin of
-    /// `fairness * lag + (1 - fairness) * wait`, where `lag` ranks streams
-    /// by frames processed (fewest first) and `wait` ranks them by the
-    /// queueing delay their current accelerator would charge, both
-    /// normalized to `[0, 1]` over the ready set. Ties break on the lowest
-    /// stream index, keeping admission fully deterministic.
+    /// Selects the stream to admit next from the ready set: the one that
+    /// has processed the fewest frames. The ready set is sorted and
+    /// `min_by_key` keeps the first of equal minima, so ties break on the
+    /// lowest stream index and admission is fully deterministic.
     fn select_stream(&self) -> Option<usize> {
-        let candidates = &self.ready;
-        if candidates.is_empty() {
-            return None;
-        }
-        let processed: Vec<f64> = candidates
+        self.ready
             .iter()
-            .map(|&i| self.streams[i].processed as f64)
-            .collect();
-        let waits: Vec<f64> = candidates
-            .iter()
-            .map(|&i| {
-                let state = &self.streams[i];
-                let pair = state.agent.current_pair();
-                self.occupancy.queue_delay(pair.accelerator, state.clock_s)
-            })
-            .collect();
-        let normalize = |values: &[f64]| -> Vec<f64> {
-            let min = values.iter().copied().fold(f64::INFINITY, f64::min);
-            let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let span = max - min;
-            values
-                .iter()
-                .map(|v| {
-                    if span <= f64::EPSILON {
-                        0.0
-                    } else {
-                        (v - min) / span
-                    }
-                })
-                .collect()
-        };
-        let lag = normalize(&processed);
-        let wait = normalize(&waits);
-        // The field is `pub`, so a struct-literal construction can bypass
-        // `with_fairness`'s clamp; clamp again at the point of use.
-        let fairness = self.config.fairness.clamp(0.0, 1.0);
-        let mut best: Option<(f64, usize)> = None;
-        for (slot, &index) in candidates.iter().enumerate() {
-            let key = fairness * lag[slot] + (1.0 - fairness) * wait[slot];
-            if best.is_none_or(|(k, _)| key < k) {
-                best = Some((key, index));
-            }
-        }
-        best.map(|(_, index)| index)
+            .copied()
+            .min_by_key(|&i| self.streams[i].processed)
     }
 
     /// Runs `frame` on stream `index` through the three phases — admit,
@@ -814,10 +750,8 @@ impl FleetRuntime {
             // picked the offline pair already carries its scores, and
             // re-running the pass would double-push the same predictions
             // into the momentum buffers. The counter only attributes the
-            // re-plan to the fault subsystem when the kept pair's own
-            // accelerator is fault-dropped (a thermal trip triggers the same
-            // survival path but is not injected-fault exposure, even while
-            // an unrelated fault window is active).
+            // re-plan to the fault subsystem while a fault window is active
+            // and the kept pair's own accelerator is fenced off.
             let dropped = fault_active
                 && self
                     .engine
@@ -1015,10 +949,10 @@ impl FleetRuntime {
 
 /// Whether the decided pair is unusable because of an injected fault on its
 /// *own* resources — a dropped-out (administratively fenced) accelerator or
-/// a squeezed pool — as opposed to a coincident thermal trip or peer memory
-/// contention, which are not injected-fault exposure. Used to attribute the
-/// resilience counters precisely while another, unrelated fault window
-/// (e.g. a telemetry glitch) is active.
+/// a squeezed pool — as opposed to peer memory contention, which is not
+/// injected-fault exposure. Used to attribute the resilience counters
+/// precisely while another, unrelated fault window (e.g. a telemetry glitch)
+/// is active.
 fn fault_on_decided_pair(engine: &ExecutionEngine, decided: CandidatePair) -> bool {
     engine.is_administratively_offline(decided.accelerator)
         || engine.memory_reservation(decided.accelerator) > 0.0
@@ -1074,7 +1008,6 @@ fn can_ever_fit(engine: &ExecutionEngine, pair: CandidatePair) -> bool {
 pub struct FleetBuilder<'a> {
     pub(crate) engine: ExecutionEngine,
     pub(crate) characterization: &'a Characterization,
-    pub(crate) config: FleetConfig,
     pub(crate) specs: Vec<StreamSpec>,
     pub(crate) fault_plan: Option<FaultPlan>,
 }
@@ -1085,15 +1018,15 @@ impl<'a> FleetBuilder<'a> {
         Self {
             engine,
             characterization,
-            config: FleetConfig::default(),
             specs: Vec::new(),
             fault_plan: None,
         }
     }
 
-    /// Sets the fleet-level configuration (default: round-robin admission).
-    pub fn config(mut self, config: FleetConfig) -> Self {
-        self.config = config;
+    /// Does nothing: admission is always round-robin. This exists only so
+    /// the benchmark, which still passes [`FleetConfig::round_robin`] here,
+    /// builds unchanged.
+    pub fn config(self, _config: FleetConfig) -> Self {
         self
     }
 
@@ -1125,8 +1058,7 @@ impl<'a> FleetBuilder<'a> {
     /// path, [`FleetBuilder::build_service`], is the one that may start
     /// empty).
     pub fn build(self) -> Result<FleetRuntime, ShiftError> {
-        let mut fleet =
-            FleetRuntime::new(self.engine, self.characterization, self.config, self.specs)?;
+        let mut fleet = FleetRuntime::new(self.engine, self.characterization, self.specs)?;
         if let Some(plan) = self.fault_plan {
             fleet = fleet.with_fault_plan(plan);
         }
@@ -1186,13 +1118,7 @@ mod tests {
         let single = shift.run(scenario.stream()).unwrap();
 
         let specs = vec![StreamSpec::new("only", scenario, config)];
-        let mut fleet = FleetRuntime::new(
-            engine(11),
-            &characterization,
-            FleetConfig::round_robin(),
-            specs,
-        )
-        .unwrap();
+        let mut fleet = FleetRuntime::new(engine(11), &characterization, specs).unwrap();
         let fleet_outcomes = fleet.run_to_completion().unwrap();
 
         assert_eq!(fleet_outcomes.len(), single.len());
@@ -1259,13 +1185,7 @@ mod tests {
                 ShiftConfig::paper_defaults(),
             ),
         ];
-        let mut fleet = FleetRuntime::new(
-            engine(12),
-            &characterization,
-            FleetConfig::round_robin(),
-            specs,
-        )
-        .unwrap();
+        let mut fleet = FleetRuntime::new(engine(12), &characterization, specs).unwrap();
         let outcomes = fleet.run_to_completion().unwrap();
         assert_eq!(outcomes.len(), 95);
         assert!(fleet.is_done());
@@ -1298,19 +1218,16 @@ mod tests {
                 )
             })
             .collect();
-        let mut fleet = FleetRuntime::new(
-            engine(13),
-            &characterization,
-            FleetConfig::round_robin(),
-            specs,
-        )
-        .unwrap();
+        let mut fleet = FleetRuntime::new(engine(13), &characterization, specs).unwrap();
         let mut processed = [0usize; 3];
         while let Some(outcome) = fleet.step().unwrap() {
             processed[outcome.stream] += 1;
             let max = *processed.iter().max().unwrap();
             let min = *processed.iter().min().unwrap();
-            assert!(max - min <= 1, "fairness 1.0 must interleave strictly");
+            assert!(
+                max - min <= 1,
+                "round-robin admission must interleave strictly"
+            );
         }
     }
 
@@ -1328,13 +1245,7 @@ mod tests {
                 )
             })
             .collect();
-        let mut fleet = FleetRuntime::new(
-            engine(14),
-            &characterization,
-            FleetConfig::round_robin(),
-            specs,
-        )
-        .unwrap();
+        let mut fleet = FleetRuntime::new(engine(14), &characterization, specs).unwrap();
         let outcomes = fleet.run_to_completion().unwrap();
         let waited = outcomes.iter().filter(|o| o.queue_wait_s > 0.0).count();
         assert!(
@@ -1360,13 +1271,7 @@ mod tests {
                 )
             })
             .collect();
-        let mut fleet = FleetRuntime::new(
-            engine(15),
-            &characterization,
-            FleetConfig::round_robin(),
-            specs,
-        )
-        .unwrap();
+        let mut fleet = FleetRuntime::new(engine(15), &characterization, specs).unwrap();
         let outcomes = fleet.run_to_completion().unwrap();
         let first_of = |stream: usize| {
             outcomes
@@ -1401,13 +1306,7 @@ mod tests {
                     ShiftConfig::paper_defaults(),
                 ),
             ];
-            let mut fleet = FleetRuntime::new(
-                engine(16),
-                &characterization,
-                FleetConfig::default().with_fairness(0.5),
-                specs,
-            )
-            .unwrap();
+            let mut fleet = FleetRuntime::new(engine(16), &characterization, specs).unwrap();
             fleet.run_to_completion().unwrap()
         };
         assert_eq!(run(), run());
@@ -1429,7 +1328,6 @@ mod tests {
             .collect();
         let plan = shift_soc::FaultPlan::generate(9, &shift_soc::FaultSpec::mixed(100));
         let mut fleet = FleetBuilder::new(engine(21), &characterization)
-            .config(FleetConfig::default().with_fairness(0.6))
             .streams(specs)
             .fault_plan(plan)
             .build()
@@ -1456,12 +1354,24 @@ mod tests {
                 fleet.detach_stream(detached);
                 assert_eq!(fleet.ready, pending(&fleet));
             }
-            let ready = fleet.ready.len() as u64;
+            // Admission picks the first pending stream with the fewest
+            // frames processed, and nothing once every stream is drained.
+            let ready = pending(&fleet);
+            let fewest = ready.iter().map(|&i| fleet.streams[i].processed).min();
+            let expected = ready
+                .iter()
+                .copied()
+                .find(|&i| Some(fleet.streams[i].processed) == fewest);
             let polls = fleet.stream_polls();
             let outcome = fleet.step().unwrap();
             assert_eq!(
+                outcome.as_ref().map(|o| o.stream),
+                expected,
+                "step {step} admits the most-behind stream"
+            );
+            assert_eq!(
                 fleet.stream_polls() - polls,
-                ready,
+                ready.len() as u64,
                 "step {step} examines exactly the ready set"
             );
             assert_eq!(fleet.ready, pending(&fleet), "after step {step}");
@@ -1490,13 +1400,7 @@ mod tests {
                 )
             })
             .collect();
-        let mut fleet = FleetRuntime::new(
-            engine(23),
-            &characterization,
-            FleetConfig::round_robin(),
-            specs,
-        )
-        .unwrap();
+        let mut fleet = FleetRuntime::new(engine(23), &characterization, specs).unwrap();
         // Drain the two short streams plus one round of the others.
         let short = [StreamHandle::from_index(4), StreamHandle::from_index(5)];
         while !fleet.is_done()
@@ -1518,39 +1422,8 @@ mod tests {
     #[test]
     fn empty_fleet_is_rejected() {
         let characterization = characterization(17);
-        let err = FleetRuntime::new(
-            engine(17),
-            &characterization,
-            FleetConfig::round_robin(),
-            Vec::new(),
-        )
-        .unwrap_err();
+        let err = FleetRuntime::new(engine(17), &characterization, Vec::new()).unwrap_err();
         assert_eq!(err, ShiftError::EmptyFleet);
-    }
-
-    #[test]
-    fn fairness_knob_is_clamped_and_throughput_mode_still_finishes_everyone() {
-        let config = FleetConfig::round_robin().with_fairness(-3.0);
-        assert_eq!(config.fairness, 0.0);
-        let characterization = characterization(18);
-        let specs = vec![
-            StreamSpec::new(
-                "slow",
-                Scenario::scenario_5().with_num_frames(20),
-                ShiftConfig::paper_defaults(),
-            ),
-            StreamSpec::new(
-                "fast",
-                Scenario::scenario_3().with_num_frames(20),
-                ShiftConfig::paper_defaults(),
-            ),
-        ];
-        let mut fleet = FleetRuntime::new(engine(18), &characterization, config, specs).unwrap();
-        let outcomes = fleet.run_to_completion().unwrap();
-        assert_eq!(outcomes.len(), 40);
-        for handle in fleet.handles() {
-            assert_eq!(fleet.stream(handle).frames_processed(), 20);
-        }
     }
 
     #[test]
@@ -1571,16 +1444,10 @@ mod tests {
             ]
         };
         let plan = shift_soc::FaultPlan::generate(4, &shift_soc::FaultSpec::mixed(35));
-        let mut chained = FleetRuntime::new(
-            engine(32),
-            &characterization,
-            FleetConfig::default().with_fairness(0.7),
-            specs(),
-        )
-        .unwrap()
-        .with_fault_plan(plan.clone());
+        let mut chained = FleetRuntime::new(engine(32), &characterization, specs())
+            .unwrap()
+            .with_fault_plan(plan.clone());
         let mut built = FleetBuilder::new(engine(32), &characterization)
-            .config(FleetConfig::default().with_fairness(0.7))
             .streams(specs())
             .fault_plan(plan)
             .build()

@@ -89,7 +89,7 @@ pub mod prelude {
     pub use crate::cluster::{ClusterBuilder, ClusterPolicy, ClusterScheduler, ClusterSessionId};
     pub use crate::config::{Knobs, ShiftConfig};
     pub use crate::fleet::{
-        FleetBuilder, FleetConfig, FleetFrameOutcome, FleetRuntime, StreamHandle, StreamSpec,
+        FleetBuilder, FleetFrameOutcome, FleetRuntime, StreamHandle, StreamSpec,
     };
     pub use crate::graph::{ConfidenceGraph, GraphConfig};
     pub use crate::runtime::{FrameOutcome, ResilienceCounters, ShiftRuntime};

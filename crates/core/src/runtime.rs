@@ -11,7 +11,7 @@
 use crate::characterize::Characterization;
 use crate::config::ShiftConfig;
 use crate::context::ContextDetector;
-use crate::fleet::{FleetConfig, FleetRuntime, StreamHandle};
+use crate::fleet::{FleetRuntime, StreamHandle};
 use crate::graph::{ConfidenceGraph, GraphConfig};
 use crate::scheduler::{CandidatePair, CandidateTable, Decision, Scheduler};
 use crate::ShiftError;
@@ -68,16 +68,14 @@ pub struct ResilienceCounters {
     /// Frames processed while at least one fault was active on the platform.
     pub fault_frames: u64,
     /// Forced full re-scheduling passes taken because the gate-kept pair's
-    /// accelerator was offline *while an injected fault was active*. The
-    /// same survival path also fires for thermal trips, but those are not
-    /// injected-fault exposure and are not counted.
+    /// accelerator was offline *while an injected fault was active*.
     pub fault_replans: u64,
     /// Frames executed on a pair other than the one the scheduler decided
     /// because an injected fault sat on the decided pair's *own* resources —
     /// a dropped-out accelerator or a squeezed pool. (Degradation from
-    /// ordinary memory contention — a fleet peer pin-blocking a pool — or a
-    /// coincident thermal trip is not fault exposure and is deliberately not
-    /// counted, even while an unrelated fault window is active.)
+    /// ordinary memory contention — a fleet peer pin-blocking a pool — is
+    /// not fault exposure and is deliberately not counted, even while an
+    /// unrelated fault window is active.)
     pub degraded_frames: u64,
 }
 
@@ -292,7 +290,7 @@ impl ShiftRuntime {
         characterization: &Characterization,
         config: ShiftConfig,
     ) -> Result<Self, ShiftError> {
-        let mut fleet = FleetRuntime::empty(engine, FleetConfig::default());
+        let mut fleet = FleetRuntime::empty(engine);
         let slot = fleet.attach_solo(characterization, config)?;
         Ok(Self { fleet, slot })
     }

@@ -30,14 +30,12 @@
 //!    accelerator; the projected per-frame latency must fit the deadline
 //!    class's budget.
 //!
-//! A goal that fails is retried down a degrade ladder
-//! ([`ServicePolicy::degrade_step`] at a time, down to
-//! [`ServicePolicy::degrade_floor`]): the service *offers back* the lower
-//! goal rather than thrash the shared loader. When even the floor fails,
-//! overload shedding plans an eviction set of the lowest-priority
-//! already-degraded sessions and commits it only if the higher-priority
-//! request then fits — no session is shed for an arrival that bounces
-//! anyway; only then is the request rejected.
+//! A goal that fails is retried down a degrade ladder (0.05 at a time, down
+//! to 0.15): the service *offers back* the lower goal rather than thrash the
+//! shared loader. When even the floor fails, overload shedding plans an
+//! eviction set of the lowest-priority already-degraded sessions and commits
+//! it only if the higher-priority request then fits — no session is shed for
+//! an arrival that bounces anyway; only then is the request rejected.
 //!
 //! An admitted session's stream shares its confidence graph with every
 //! other stream on the service that has the same
@@ -267,14 +265,16 @@ pub enum SessionEvent {
     },
 }
 
+/// Lowest accuracy goal the degrade ladder offers (a request below it is
+/// probed at its own goal only).
+const LADDER_FLOOR: f64 = 0.15;
+
+/// Step between the goals the degrade ladder probes.
+const LADDER_STEP: f64 = 0.05;
+
 /// Admission-control policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServicePolicy {
-    /// Lowest accuracy goal the degrade ladder offers (requests below it
-    /// are probed at their own goal only).
-    pub degrade_floor: f64,
-    /// Ladder step size between probed goals.
-    pub degrade_step: f64,
     /// Whether overload shedding may evict degraded lower-priority sessions
     /// to admit a higher-priority request. Evictions commit only when they
     /// actually let the request in.
@@ -288,12 +288,10 @@ pub struct ServicePolicy {
 }
 
 impl ServicePolicy {
-    /// The default policy: a 0.15 floor walked in 0.05 steps, shedding
-    /// enabled, 50 ms interactive and 250 ms standard budgets.
+    /// The default policy: shedding enabled, 50 ms interactive and 250 ms
+    /// standard budgets.
     pub fn defaults() -> Self {
         Self {
-            degrade_floor: 0.15,
-            degrade_step: 0.05,
             shed_to_admit: true,
             interactive_budget_s: 0.05,
             standard_budget_s: 0.25,
@@ -304,13 +302,6 @@ impl ServicePolicy {
     pub fn with_budgets(mut self, interactive_s: f64, standard_s: f64) -> Self {
         self.interactive_budget_s = interactive_s;
         self.standard_budget_s = standard_s;
-        self
-    }
-
-    /// Returns a copy with a different degrade ladder.
-    pub fn with_degrade_ladder(mut self, floor: f64, step: f64) -> Self {
-        self.degrade_floor = floor;
-        self.degrade_step = step;
         self
     }
 
@@ -481,11 +472,10 @@ impl FleetService {
         let FleetBuilder {
             engine,
             characterization,
-            config,
             specs,
             fault_plan,
         } = builder;
-        let mut fleet = FleetRuntime::empty(engine, config);
+        let mut fleet = FleetRuntime::empty(engine);
         if let Some(plan) = fault_plan {
             fleet = fleet.with_fault_plan(plan);
         }
@@ -868,12 +858,11 @@ impl FleetService {
         excluded: &[usize],
     ) -> Result<f64, RejectReason> {
         let requested = req.config.accuracy_goal;
-        let floor = self.policy.degrade_floor.min(requested);
-        let step = self.policy.degrade_step.max(1e-6);
+        let floor = LADDER_FLOOR.min(requested);
         let mut blocked = RejectReason::InfeasibleGoal;
         let mut rung = 0u32;
         loop {
-            let goal = requested - step * f64::from(rung);
+            let goal = requested - LADDER_STEP * f64::from(rung);
             if goal < floor - 1e-9 {
                 return Err(blocked);
             }
@@ -1044,7 +1033,7 @@ impl FleetBuilder<'_> {
 mod tests {
     use super::*;
     use crate::characterize::characterize;
-    use crate::fleet::{FleetConfig, FleetRuntime};
+    use crate::fleet::FleetRuntime;
     use crate::runtime::StreamAgent;
     use shift_models::{ModelZoo, ResponseModel};
     use shift_soc::{AcceleratorId, ExecutionEngine, Platform};
@@ -1085,13 +1074,7 @@ mod tests {
     #[test]
     fn fixed_set_service_is_bit_identical_to_the_batch_runtime() {
         let characterization = characterization(41);
-        let mut batch = FleetRuntime::new(
-            engine(41),
-            &characterization,
-            FleetConfig::round_robin(),
-            specs(),
-        )
-        .unwrap();
+        let mut batch = FleetRuntime::new(engine(41), &characterization, specs()).unwrap();
         let batch_outcomes = batch.run_to_completion().unwrap();
 
         let mut service = FleetBuilder::new(engine(41), &characterization)
@@ -1113,14 +1096,9 @@ mod tests {
     fn fixed_set_service_under_faults_matches_the_batch_runtime() {
         let characterization = characterization(42);
         let plan = shift_soc::FaultPlan::generate(7, &shift_soc::FaultSpec::mixed(60));
-        let mut batch = FleetRuntime::new(
-            engine(42),
-            &characterization,
-            FleetConfig::round_robin(),
-            specs(),
-        )
-        .unwrap()
-        .with_fault_plan(plan.clone());
+        let mut batch = FleetRuntime::new(engine(42), &characterization, specs())
+            .unwrap()
+            .with_fault_plan(plan.clone());
         let batch_outcomes = batch.run_to_completion().unwrap();
         let mut service = FleetBuilder::new(engine(42), &characterization)
             .streams(specs())
@@ -1257,9 +1235,8 @@ mod tests {
         let characterization = characterization(46);
         // Find a goal that is infeasible as requested but feasible lower
         // down the ladder: ask far above what any pair can deliver.
-        let policy = ServicePolicy::defaults().with_degrade_ladder(0.15, 0.05);
         let mut service = FleetBuilder::new(engine(46), &characterization)
-            .build_service(policy)
+            .build_service(ServicePolicy::defaults())
             .unwrap();
         let event = service.submit(SessionRequest::Attach(AttachRequest::new(
             "greedy",
@@ -1279,6 +1256,16 @@ mod tests {
         assert!(
             admitted_goal < requested_goal,
             "goal must be degraded ({admitted_goal})"
+        );
+        // The offer is a rung of the ladder: 0.05 steps down from the
+        // request, never below the 0.15 floor (with the ladder's tolerance).
+        assert!(
+            admitted_goal >= 0.15 - 1e-9,
+            "below the floor ({admitted_goal})"
+        );
+        assert!(
+            (1..=16).any(|k| admitted_goal == 0.95 - 0.05 * f64::from(k)),
+            "not a ladder rung ({admitted_goal})"
         );
         let records = service.sessions();
         assert!(records[0].degraded());

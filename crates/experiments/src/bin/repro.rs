@@ -19,7 +19,7 @@
 //! `ablations`), `serve` — the fleet-as-a-service session-churn run, which
 //! writes `SERVE_sessions.csv` (one lifecycle row per session: admitted /
 //! degraded / rejected / detached / shed under SLO-aware admission;
-//! byte-identical for any `--jobs` and in both execution modes) —
+//! byte-identical for any `--jobs`) —
 //! `stress` — the generated-scenario difficulty-grid sweep
 //! plus fleet soak —
 //! `chaos` — the fault-plan × scenario resilience grid, which writes
@@ -31,9 +31,8 @@
 //! which replays one seeded diurnal session trace against clusters of 1 to 8
 //! heterogeneous nodes and writes `CLUSTER_capacity.csv` (one row per
 //! cluster size: admission/shed/migration counts, energy, streams-per-joule
-//! and p50/p99 latency; byte-identical for any `--jobs` and in both
-//! execution modes) — and `bench` — the perf-regression micro
-//! suite, which writes `BENCH_micro.json`.
+//! and p50/p99 latency; byte-identical for any `--jobs`) — and `bench` —
+//! the perf-regression micro suite, which writes `BENCH_micro.json`.
 //!
 //! Standalone gate mode: `bench-compare <baseline> <current>` diffs two
 //! `BENCH_micro.json` snapshots and exits non-zero when any bench leaves

@@ -21,10 +21,10 @@
 //!
 //! Every `(plan, scenario, method)` cell runs on the deterministic parallel
 //! executor and reduces to one [`ResilienceRow`], so the whole artifact —
-//! including the `CHAOS_resilience.csv` the CI smoke step uploads — is
-//! byte-identical for any `--jobs` count. Fault plans are laid out over the
-//! *longest* scenario of the grid, so shorter scenarios exercise the
-//! plan-outlives-the-video path by construction.
+//! including the `CHAOS_resilience.csv` that `tests/golden/smoke.sha256`
+//! pins — is byte-identical for any `--jobs` count. Fault plans are laid
+//! out over the *longest* scenario of the grid, so shorter scenarios
+//! exercise the plan-outlives-the-video path by construction.
 //!
 //! Run it with `cargo run --release -p shift-experiments --bin repro --
 //! chaos` (or `--smoke chaos` for the reduced CI grid).
@@ -251,7 +251,7 @@ pub fn summary_csv(
     Ok(sweep(ctx, options)?.to_csv())
 }
 
-/// The rendered artifact plus the CSV the CI smoke step stores.
+/// The rendered artifact plus the CSV `repro chaos` writes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosArtifact {
     /// The rendered per-(plan, method) resilience table.

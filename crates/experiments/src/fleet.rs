@@ -12,7 +12,7 @@
 //! fleet`.
 
 use crate::{outcome_to_record, ExperimentContext, ExperimentError};
-use shift_core::fleet::{FleetBuilder, FleetConfig, StreamSpec};
+use shift_core::fleet::{FleetBuilder, StreamSpec};
 use shift_core::ShiftConfig;
 use shift_metrics::{FleetSummary, FrameRecord, StreamSummary, Table};
 use shift_video::Scenario;
@@ -95,7 +95,6 @@ pub fn run_specs(
 ) -> Result<FleetScalePoint, ExperimentError> {
     let n = specs.len();
     let mut fleet = FleetBuilder::new(ctx.engine(), ctx.characterization())
-        .config(FleetConfig::round_robin())
         .streams(specs)
         .build()?;
     let outcomes = fleet.run_to_completion()?;

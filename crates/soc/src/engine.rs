@@ -6,7 +6,6 @@ use crate::dvfs::PowerMode;
 use crate::memory::MemoryPool;
 use crate::platform::Platform;
 use crate::telemetry::Telemetry;
-use crate::thermal::ThermalModel;
 use crate::SocError;
 use serde::{Deserialize, Serialize};
 use shift_models::{InferenceResult, ModelId, ModelSpec, ModelZoo, ResponseModel};
@@ -61,10 +60,7 @@ pub struct ExecutionEngine {
     /// Active DVFS power mode (default: the paper's 15 W mode, identity
     /// scaling).
     power_mode: PowerMode,
-    /// Optional thermal model; `None` (the default) disables thermal
-    /// throttling entirely.
-    thermal: Option<ThermalModel>,
-    /// Accelerators administratively or thermally taken offline.
+    /// Accelerators administratively taken offline.
     offline: BTreeSet<AcceleratorId>,
     /// When `true`, telemetry recording is suspended (a fault-injected
     /// telemetry glitch: work still executes, its samples are lost).
@@ -88,7 +84,6 @@ impl ExecutionEngine {
             telemetry: Telemetry::new(),
             latency_jitter: 0.05,
             power_mode: PowerMode::default(),
-            thermal: None,
             offline: BTreeSet::new(),
             telemetry_suspended: false,
         }
@@ -98,12 +93,6 @@ impl ExecutionEngine {
     /// form of [`set_power_mode`](Self::set_power_mode)).
     pub fn with_power_mode(mut self, mode: PowerMode) -> Self {
         self.power_mode = mode;
-        self
-    }
-
-    /// Returns the engine with thermal modeling enabled.
-    pub fn with_thermal_model(mut self, thermal: ThermalModel) -> Self {
-        self.thermal = Some(thermal);
         self
     }
 
@@ -118,34 +107,17 @@ impl ExecutionEngine {
         self.power_mode = mode;
     }
 
-    /// The thermal model, when thermal simulation is enabled.
-    pub fn thermal(&self) -> Option<&ThermalModel> {
-        self.thermal.as_ref()
-    }
-
-    /// Enables or replaces the thermal model.
-    pub fn set_thermal_model(&mut self, thermal: ThermalModel) {
-        self.thermal = Some(thermal);
-    }
-
     /// Whether `accelerator` is currently accepting work: it must exist on
-    /// the platform, not be administratively offline, and not be thermally
-    /// tripped.
+    /// the platform and not be administratively offline.
     pub fn is_online(&self, accelerator: AcceleratorId) -> bool {
-        self.platform.has(accelerator)
-            && !self.offline.contains(&accelerator)
-            && !self
-                .thermal
-                .as_ref()
-                .map(|t| t.is_tripped(accelerator))
-                .unwrap_or(false)
+        self.platform.has(accelerator) && !self.offline.contains(&accelerator)
     }
 
     /// Whether `accelerator` is administratively fenced off (the flag
-    /// [`set_accelerator_online`](Self::set_accelerator_online) toggles),
-    /// independent of any thermal trip. Fault-injection recovery restores
-    /// exactly this flag, so a transient thermal trip observed mid-fault is
-    /// never converted into a permanent fence.
+    /// [`set_accelerator_online`](Self::set_accelerator_online) toggles).
+    /// Unlike `!is_online`, this is `false` for an accelerator the platform
+    /// lacks. Fault-injection recovery restores exactly this flag, so a
+    /// fence set before a dropout outlives the dropout's recovery.
     pub fn is_administratively_offline(&self, accelerator: AcceleratorId) -> bool {
         self.offline.contains(&accelerator)
     }
@@ -372,9 +344,6 @@ impl ExecutionEngine {
             self.telemetry
                 .record_inference(accelerator, report.latency_s, report.energy_j);
         }
-        if let Some(thermal) = self.thermal.as_mut() {
-            thermal.record_activity(accelerator, report.power_w, report.latency_s);
-        }
         Ok(report)
     }
 
@@ -399,13 +368,7 @@ impl ExecutionEngine {
             .perf_on(accelerator.target())
             .map_err(|_| SocError::IncompatiblePair { model, accelerator })?;
         let jitter = deterministic_jitter(frame.index, model, accelerator) * self.latency_jitter;
-        let throttle = self
-            .thermal
-            .as_ref()
-            .map(|t| t.throttle_factor(accelerator))
-            .unwrap_or(1.0);
-        let latency =
-            perf.latency_s * (1.0 + jitter) * self.power_mode.latency_scale(accelerator) * throttle;
+        let latency = perf.latency_s * (1.0 + jitter) * self.power_mode.latency_scale(accelerator);
         let power = perf.power_w * self.power_mode.power_scale(accelerator);
         let energy = latency * power;
         let result = self.response.infer(spec, frame);
@@ -674,61 +637,6 @@ mod tests {
             .load_model(ModelId::YoloV7, AcceleratorId::Dla0)
             .unwrap_err();
         assert!(matches!(err, SocError::UnknownAccelerator(_)));
-    }
-
-    #[test]
-    fn thermal_model_heats_up_and_throttles_sustained_inference() {
-        let mut e = engine()
-            .with_thermal_model(crate::ThermalModel::new(crate::ThermalConfig::stress_test()));
-        e.load_model(ModelId::YoloV7, AcceleratorId::Gpu).unwrap();
-        let f = frame();
-        let first = e
-            .run_inference(ModelId::YoloV7, AcceleratorId::Gpu, &f)
-            .unwrap();
-        for _ in 0..400 {
-            if e.run_inference(ModelId::YoloV7, AcceleratorId::Gpu, &f)
-                .is_err()
-            {
-                break;
-            }
-        }
-        let thermal = e.thermal().expect("thermal model attached");
-        assert!(thermal.temperature(AcceleratorId::Gpu) > 30.0);
-        // Either the engine is throttling (later inferences slower than the
-        // first) or it tripped offline entirely.
-        let tripped = thermal.is_tripped(AcceleratorId::Gpu);
-        let later = e.probe_inference(ModelId::YoloV7, AcceleratorId::Gpu, &f);
-        let throttled = later
-            .map(|r| r.latency_s > first.latency_s)
-            .unwrap_or(false);
-        assert!(tripped || throttled);
-    }
-
-    #[test]
-    fn tripped_accelerator_counts_as_offline() {
-        let mut e = engine()
-            .with_thermal_model(crate::ThermalModel::new(crate::ThermalConfig::stress_test()));
-        e.load_model(ModelId::YoloV7, AcceleratorId::Gpu).unwrap();
-        let f = frame();
-        let mut saw_offline = false;
-        for _ in 0..2000 {
-            match e.run_inference(ModelId::YoloV7, AcceleratorId::Gpu, &f) {
-                Ok(_) => {}
-                Err(SocError::AcceleratorOffline(id)) => {
-                    assert_eq!(id, AcceleratorId::Gpu);
-                    saw_offline = true;
-                    break;
-                }
-                Err(other) => panic!("unexpected error: {other}"),
-            }
-        }
-        assert!(
-            saw_offline,
-            "stress-test thermal config should trip the GPU"
-        );
-        assert!(!e.is_online(AcceleratorId::Gpu));
-        // Other engines are unaffected.
-        assert!(e.is_online(AcceleratorId::Dla0));
     }
 
     #[test]

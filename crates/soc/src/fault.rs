@@ -652,9 +652,9 @@ impl FaultInjector {
         self.active += 1;
         match kind {
             FaultKind::Dropout(accelerator) => {
-                // Save the administrative fence specifically — not the
-                // composite `is_online`, which also reflects transient
-                // thermal trips that must not be frozen into a fence.
+                // Save the administrative fence itself — not `is_online`,
+                // which is also false for an accelerator the platform
+                // lacks — so recovery restores exactly the prior fence.
                 self.saved_online.insert(
                     accelerator,
                     !engine.is_administratively_offline(accelerator),
@@ -899,45 +899,6 @@ mod tests {
             e.memory_reservation(AcceleratorId::Gpu),
             100.0,
             "recovery must hand back the pre-existing reservation"
-        );
-    }
-
-    #[test]
-    fn dropout_recovery_does_not_freeze_a_thermal_trip_into_a_fence() {
-        use crate::thermal::{ThermalConfig, ThermalModel};
-        // The GPU is thermally tripped (composite is_online == false) but
-        // NOT administratively fenced when the dropout lands. Recovery must
-        // restore the administrative flag only, so the GPU returns to
-        // service by itself once the die cools.
-        let mut hot = ThermalModel::new(ThermalConfig::stress_test());
-        while !hot.is_tripped(AcceleratorId::Gpu) {
-            hot.record_activity(AcceleratorId::Gpu, 16.0, 1.0);
-        }
-        let mut e = engine();
-        e.set_thermal_model(hot.clone());
-        assert!(!e.is_online(AcceleratorId::Gpu));
-        assert!(!e.is_administratively_offline(AcceleratorId::Gpu));
-        let plan = FaultPlan::from_windows(
-            20,
-            vec![FaultWindow {
-                kind: FaultKind::Dropout(AcceleratorId::Gpu),
-                start_frame: 0,
-                end_frame: 5,
-            }],
-        );
-        let mut injector = FaultInjector::new(plan);
-        injector.advance(0, &mut e);
-        injector.advance(5, &mut e);
-        assert!(
-            !e.is_administratively_offline(AcceleratorId::Gpu),
-            "recovery must not convert the transient trip into a fence"
-        );
-        hot.cool(AcceleratorId::Gpu, 1000.0);
-        assert!(!hot.is_tripped(AcceleratorId::Gpu), "the die cooled");
-        e.set_thermal_model(hot);
-        assert!(
-            e.is_online(AcceleratorId::Gpu),
-            "once cool, the GPU returns to service on its own"
         );
     }
 

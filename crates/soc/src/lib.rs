@@ -44,7 +44,6 @@ pub mod occupancy;
 pub mod platform;
 pub mod power;
 pub mod telemetry;
-pub mod thermal;
 
 pub use accelerator::{AcceleratorId, AcceleratorSpec};
 pub use arbiter::MemoryArbiter;
@@ -60,7 +59,6 @@ pub use occupancy::{OccupancyTracker, Reservation};
 pub use platform::Platform;
 pub use power::{PowerModel, PowerRail};
 pub use telemetry::{EnergyBreakdown, Telemetry};
-pub use thermal::{ThermalConfig, ThermalModel, ThermalState};
 
 use shift_models::{ExecutionTarget, ModelId};
 
@@ -100,7 +98,7 @@ pub enum SocError {
     /// The model id is not part of the zoo attached to the engine.
     UnknownModel(ModelId),
     /// The accelerator exists but is not accepting work (administratively
-    /// disabled or thermally tripped).
+    /// disabled).
     AcceleratorOffline(AcceleratorId),
 }
 

@@ -9,7 +9,7 @@
 //! cargo run --release --example fleet
 //! ```
 
-use shift_core::fleet::{FleetBuilder, FleetConfig, StreamSpec};
+use shift_core::fleet::{FleetBuilder, StreamSpec};
 use shift_core::{characterize, ShiftConfig};
 use shift_metrics::{FleetSummary, FrameRecord, StreamSummary, Table};
 use shift_models::{ModelZoo, ResponseModel};
@@ -49,7 +49,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    when they collide on an accelerator.
     println!("running {} streams to completion...\n", specs.len());
     let mut fleet = FleetBuilder::new(engine, &characterization)
-        .config(FleetConfig::round_robin())
         .streams(specs)
         .build()?;
     let outcomes = fleet.run_to_completion()?;

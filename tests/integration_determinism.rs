@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use shift_baselines::{MarlinConfig, OracleObjective};
-use shift_core::fleet::{FleetConfig, FleetRuntime, StreamSpec};
+use shift_core::fleet::{FleetRuntime, StreamSpec};
 use shift_core::{characterize, ShiftConfig, ShiftRuntime};
 use shift_experiments::workloads::paper_shift_config;
 use shift_experiments::ExperimentContext;
@@ -86,13 +86,8 @@ fn golden_serialized_output_is_byte_identical_across_runs() {
 
         // Fleet runtime: the raw fleet outcomes...
         let specs = shift_experiments::fleet::stream_specs(&ctx, 3);
-        let mut fleet = FleetRuntime::new(
-            ctx.engine(),
-            ctx.characterization(),
-            FleetConfig::round_robin(),
-            specs,
-        )
-        .expect("fleet builds");
+        let mut fleet =
+            FleetRuntime::new(ctx.engine(), ctx.characterization(), specs).expect("fleet builds");
         let fleet_bytes = format!("{:?}", fleet.run_to_completion().expect("fleet completes"));
 
         // ...and the aggregated per-stream + fleet summary CSV.
@@ -137,13 +132,8 @@ fn fleet_of_one_on_the_des_core_is_bit_identical_to_shift_runtime() {
         .expect("runtime builds");
     let single = runtime.run(scenario.stream()).expect("run completes");
     let specs = vec![StreamSpec::new("solo", scenario, paper_shift_config())];
-    let mut fleet = FleetRuntime::new(
-        ctx.engine(),
-        ctx.characterization(),
-        FleetConfig::round_robin(),
-        specs,
-    )
-    .expect("fleet builds");
+    let mut fleet =
+        FleetRuntime::new(ctx.engine(), ctx.characterization(), specs).expect("fleet builds");
     let outcomes = fleet.run_to_completion().expect("fleet completes");
     assert_eq!(outcomes.len(), single.len());
     for o in &outcomes {

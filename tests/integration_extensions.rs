@@ -249,27 +249,6 @@ proptest! {
         }
     }
 
-    /// The thermal model keeps every temperature between ambient and the
-    /// equilibrium implied by the dissipated power, and throttle factors
-    /// never drop below one.
-    #[test]
-    fn thermal_model_properties(
-        powers in proptest::collection::vec(0.0..25.0f64, 1..60),
-        duration in 0.01..5.0f64,
-    ) {
-        use shift_soc::{ThermalConfig, ThermalModel};
-        let config = ThermalConfig::xavier_nx();
-        let mut model = ThermalModel::new(config);
-        let max_power = powers.iter().cloned().fold(0.0f64, f64::max);
-        for &p in &powers {
-            model.record_activity(AcceleratorId::Gpu, p, duration);
-            let t = model.temperature(AcceleratorId::Gpu);
-            prop_assert!(t >= config.ambient_c - 1e-9);
-            prop_assert!(t <= config.ambient_c + config.resistance_c_per_w * max_power + 1e-6);
-            prop_assert!(model.throttle_factor(AcceleratorId::Gpu) >= 1.0);
-        }
-    }
-
     /// Every power mode's energy scale is exactly the product of its latency
     /// and power scales, and the default mode is the identity.
     #[test]

@@ -14,7 +14,7 @@
 //!    exactly as it started.
 
 use proptest::prelude::*;
-use shift_core::fleet::{FleetConfig, FleetRuntime, StreamHandle, StreamSpec};
+use shift_core::fleet::{FleetRuntime, StreamHandle, StreamSpec};
 use shift_core::{characterize, Characterization, ShiftConfig, ShiftRuntime};
 use shift_models::{ModelZoo, ResponseModel};
 use shift_soc::{AcceleratorId, ExecutionEngine, FaultInjector, FaultPlan, FaultSpec, Platform};
@@ -166,7 +166,6 @@ proptest! {
         let mut healthy = FleetRuntime::new(
             engine(4),
             characterization,
-            FleetConfig::round_robin(),
             specs(),
         )
         .expect("fleet builds");
@@ -177,7 +176,6 @@ proptest! {
         let mut faulted = FleetRuntime::new(
             engine(4),
             characterization,
-            FleetConfig::round_robin(),
             specs(),
         )
         .expect("fleet builds")
@@ -235,14 +233,9 @@ fn faulted_fleet_runs_are_deterministic() {
             ),
         ];
         let plan = FaultPlan::generate(21, &FaultSpec::mixed(80));
-        let mut fleet = FleetRuntime::new(
-            engine(8),
-            characterization,
-            FleetConfig::round_robin(),
-            specs,
-        )
-        .expect("fleet builds")
-        .with_fault_plan(plan);
+        let mut fleet = FleetRuntime::new(engine(8), characterization, specs)
+            .expect("fleet builds")
+            .with_fault_plan(plan);
         let outcomes = fleet.run_to_completion().expect("faulted run completes");
         let counters: Vec<_> = fleet
             .handles()

@@ -21,8 +21,8 @@
 
 use proptest::prelude::*;
 use shift_core::{
-    AttachRequest, DeadlineClass, FleetBuilder, FleetConfig, RejectReason, ServicePolicy,
-    SessionEvent, SessionId, SessionRequest, ShiftConfig, StreamAgent,
+    AttachRequest, DeadlineClass, FleetBuilder, RejectReason, ServicePolicy, SessionEvent,
+    SessionId, SessionRequest, ShiftConfig, StreamAgent,
 };
 use shift_experiments::serve::{self, ServeOptions};
 use shift_experiments::{fleet, ExperimentContext};
@@ -53,13 +53,11 @@ fn fixed_set_service_matches_the_batch_runtime_in_both_modes() {
     let ctx = ExperimentContext::quick(2024);
     let specs = fleet::stream_specs(&ctx, 3);
     let mut batch = FleetBuilder::new(ctx.engine(), ctx.characterization())
-        .config(FleetConfig::round_robin())
         .streams(specs.clone())
         .build()
         .expect("batch fleet builds");
     let batch_outcomes = batch.run_to_completion().expect("batch run succeeds");
     let mut service = FleetBuilder::new(ctx.engine(), ctx.characterization())
-        .config(FleetConfig::round_robin())
         .streams(specs)
         .build_service(ServicePolicy::defaults())
         .expect("service builds");

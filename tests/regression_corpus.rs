@@ -16,7 +16,7 @@
 //! failure modes shows up here as an exact-magnitude diff — the committed
 //! case file must then be re-measured and updated deliberately.
 
-use shift_core::fleet::{FleetConfig, FleetRuntime, StreamSpec};
+use shift_core::fleet::{FleetRuntime, StreamSpec};
 use shift_experiments::executor::run_cells;
 use shift_experiments::search::{entry_records, evaluate_entry, CorpusCase};
 use shift_experiments::workloads::paper_shift_config;
@@ -60,14 +60,9 @@ fn fleet_of_one_records(ctx: &ExperimentContext, case: &CorpusCase) -> Vec<Frame
     let plan = FaultPlan::generate(entry.fault_seed, &entry.fault);
     let config = paper_shift_config().with_accuracy_goal(entry.scenario.accuracy_goal);
     let specs = vec![StreamSpec::new("corpus", scenario, config)];
-    let mut fleet = FleetRuntime::new(
-        ctx.engine(),
-        ctx.characterization(),
-        FleetConfig::round_robin(),
-        specs,
-    )
-    .expect("fleet builds")
-    .with_fault_plan(plan);
+    let mut fleet = FleetRuntime::new(ctx.engine(), ctx.characterization(), specs)
+        .expect("fleet builds")
+        .with_fault_plan(plan);
     fleet
         .run_to_completion()
         .expect("fleet completes")
