@@ -27,6 +27,8 @@
 //! All baselines emit the same [`shift_metrics::FrameRecord`] stream as the
 //! SHIFT runtime, so the experiment harness can tabulate them side by side.
 
+#![forbid(unsafe_code)]
+
 pub mod adavp;
 pub mod framehopper;
 pub mod marlin;

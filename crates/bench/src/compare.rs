@@ -12,9 +12,11 @@
 //! deleting a hot-path bench must be an explicit decision.
 //!
 //! Snapshots that time different work are not compared: the gate fails when
-//! the two were taken in different modes (the sizing differs) or from
+//! the two were taken in different modes (the sizing differs), from
 //! different seeds (the characterization, engine and synthetic adversarial
-//! fixture are all built from the seed). A bench with a non-positive ns/op
+//! fixture are all built from the seed) or on different render kernels (the
+//! fleet rows render every frame they step, and each kernel is its own
+//! compiled copy of the renderer). A bench with a non-positive ns/op
 //! on either side fails it too: its ratio is meaningless, and the suite
 //! never emits one, so a zero-time row means a hand-edited or corrupted
 //! snapshot.
@@ -82,6 +84,9 @@ pub struct Comparison {
     /// builds its fixtures from the seed, so different seeds time different
     /// work and fail.
     pub seeds_match: bool,
+    /// Whether the two snapshots ran the same render kernel; different
+    /// kernels render frames with different code and fail.
+    pub kernels_match: bool,
 }
 
 /// Diffs `current` against `baseline`.
@@ -122,6 +127,7 @@ pub fn compare(baseline: &Snapshot, current: &Snapshot) -> Comparison {
         degenerate,
         modes_match: baseline.mode == current.mode,
         seeds_match: baseline.seed == current.seed,
+        kernels_match: baseline.kernel == current.kernel,
     }
 }
 
@@ -134,12 +140,13 @@ impl Comparison {
             .collect()
     }
 
-    /// Whether the gate passes: modes and seeds match, no baseline bench
-    /// disappeared, no bench carries a degenerate (non-positive) timing, and
-    /// every shared bench is within the band.
+    /// Whether the gate passes: modes, seeds and render kernels match, no
+    /// baseline bench disappeared, no bench carries a degenerate
+    /// (non-positive) timing, and every shared bench is within the band.
     pub fn passes(&self, threshold: f64) -> bool {
         self.modes_match
             && self.seeds_match
+            && self.kernels_match
             && self.only_baseline.is_empty()
             && self.degenerate.is_empty()
             && self.out_of_band(threshold).is_empty()
@@ -185,6 +192,9 @@ impl Comparison {
         if !self.seeds_match {
             out.push_str("SEED baseline and current snapshots were taken from different seeds\n");
         }
+        if !self.kernels_match {
+            out.push_str("KERNEL baseline and current snapshots ran different render kernels\n");
+        }
         let verdict = if self.passes(threshold) {
             format!(
                 "PASS: {} benches within ±{:.0}% band\n",
@@ -214,6 +224,7 @@ mod tests {
         Snapshot::new(
             mode,
             1,
+            "avx512",
             benches
                 .iter()
                 .map(|(name, ns)| TimingRow::new(*name, *ns, 5, 10))
@@ -300,6 +311,26 @@ mod tests {
         assert!(report.contains("SEED "));
         assert!(report.contains("FAIL"));
         assert!(compare(&baseline, &baseline.clone()).seeds_match);
+    }
+
+    #[test]
+    fn kernel_mismatch_fails_with_a_kernel_line() {
+        let baseline = snapshot("smoke", &[("x/a", 100.0)]);
+        let mut current = baseline.clone();
+        current.kernel = "portable".into();
+        let comparison = compare(&baseline, &current);
+        assert!(comparison.modes_match && comparison.seeds_match);
+        assert!(!comparison.kernels_match);
+        assert!(
+            !comparison.passes(10.0),
+            "a different renderer fails any threshold"
+        );
+        let report = comparison.report(GATE_BAND);
+        assert!(report.contains("KERNEL "));
+        assert!(report.contains("FAIL"));
+        let same = compare(&baseline, &baseline.clone());
+        assert!(same.kernels_match);
+        assert!(!same.report(GATE_BAND).contains("KERNEL"));
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //! writes the snapshot; `repro -- bench-compare <baseline> <current>` gates
 //! it.
 
+#![forbid(unsafe_code)]
+
 pub mod compare;
 pub mod snapshot;
 pub mod suite;

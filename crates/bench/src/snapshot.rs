@@ -1,8 +1,9 @@
 //! Machine-readable perf snapshots (`BENCH_micro.json`).
 //!
 //! A snapshot records one run of the [`suite`](crate::suite): its mode, its
-//! seed and the per-bench nanoseconds-per-op [`TimingRow`]s. The
-//! [`compare`](crate::compare) gate diffs two snapshots in CI.
+//! seed, the render kernel of the host it ran on and the per-bench
+//! nanoseconds-per-op [`TimingRow`]s. The [`compare`](crate::compare) gate
+//! diffs two snapshots in CI.
 //!
 //! The workspace has no serde_json (the vendored `serde` derives are no-ops,
 //! see `vendor/README.md`), so this module hand-writes the snapshot JSON and
@@ -289,16 +290,28 @@ pub struct Snapshot {
     /// The seed the suite fixtures were built from (snapshots of different
     /// seeds time different fixtures — the gate refuses to diff them too).
     pub seed: u64,
+    /// The copy of the frame renderer the host ran,
+    /// [`shift_video::image::render_kernel`]: `"avx512"` or `"portable"`.
+    /// The fleet rows render every frame they step, so snapshots of
+    /// different kernels time different code and the gate refuses to diff
+    /// them as well.
+    pub kernel: String,
     /// Per-bench measurements, in suite order.
     pub benches: Vec<TimingRow>,
 }
 
 impl Snapshot {
     /// Creates a snapshot.
-    pub fn new(mode: impl Into<String>, seed: u64, benches: Vec<TimingRow>) -> Self {
+    pub fn new(
+        mode: impl Into<String>,
+        seed: u64,
+        kernel: impl Into<String>,
+        benches: Vec<TimingRow>,
+    ) -> Self {
         Self {
             mode: mode.into(),
             seed,
+            kernel: kernel.into(),
             benches,
         }
     }
@@ -308,9 +321,10 @@ impl Snapshot {
     pub fn to_json(&self) -> String {
         let benches: Vec<String> = self.benches.iter().map(TimingRow::json_fragment).collect();
         format!(
-            "{{\"artifact\":\"micro\",\"mode\":\"{}\",\"seed\":{},\"benches\":[{}]}}\n",
+            "{{\"artifact\":\"micro\",\"mode\":\"{}\",\"seed\":{},\"kernel\":\"{}\",\"benches\":[{}]}}\n",
             self.mode,
             self.seed,
+            self.kernel,
             benches.join(",")
         )
     }
@@ -333,6 +347,11 @@ impl Snapshot {
             .and_then(JsonValue::as_f64)
             .ok_or_else(|| SnapshotError::Schema("missing numeric `seed`".into()))?
             as u64;
+        let kernel = value
+            .get("kernel")
+            .and_then(JsonValue::as_str)
+            .ok_or_else(|| SnapshotError::Schema("missing string `kernel`".into()))?
+            .to_string();
         let benches = value
             .get("benches")
             .and_then(JsonValue::as_array)
@@ -359,6 +378,7 @@ impl Snapshot {
         Ok(Self {
             mode,
             seed,
+            kernel,
             benches,
         })
     }
@@ -374,6 +394,7 @@ mod tests {
         let snapshot = Snapshot::new(
             "smoke",
             2024,
+            "avx512",
             vec![
                 TimingRow::new("scheduler/argmax", 1234.5, 5, 100),
                 TimingRow::new("ncc/context_detect", 98.0, 5, 2000),
@@ -401,13 +422,19 @@ mod tests {
     }
 
     /// The committed seed the CI gate diffs against is a smoke-mode run of
-    /// exactly the suite's benches, in order, and is what `to_json` writes.
+    /// exactly the suite's benches, in order, on a named render kernel, and
+    /// is what `to_json` writes.
     #[test]
     fn committed_micro_seed_parses_and_round_trips_byte_for_byte() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_micro.json");
         let text = std::fs::read_to_string(path).expect("the micro seed is committed");
         let seed = Snapshot::parse(&text).expect("the micro seed parses");
         assert_eq!(seed.mode, "smoke");
+        assert!(
+            ["avx512", "portable"].contains(&seed.kernel.as_str()),
+            "unknown render kernel {:?}",
+            seed.kernel
+        );
         let names: Vec<&str> = seed.benches.iter().map(|b| b.name.as_str()).collect();
         assert_eq!(names, BENCH_NAMES);
         for bench in &seed.benches {
@@ -423,7 +450,13 @@ mod tests {
             Err(SnapshotError::Schema(_))
         ));
         assert!(matches!(
-            Snapshot::parse(r#"{"mode":"smoke","seed":1,"benches":[{"name":"x"}]}"#),
+            Snapshot::parse(r#"{"mode":"smoke","seed":1,"benches":[]}"#),
+            Err(SnapshotError::Schema(_))
+        ));
+        assert!(matches!(
+            Snapshot::parse(
+                r#"{"mode":"smoke","seed":1,"kernel":"portable","benches":[{"name":"x"}]}"#
+            ),
             Err(SnapshotError::Schema(_))
         ));
     }

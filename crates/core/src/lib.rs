@@ -44,6 +44,7 @@
 //! # Ok::<(), shift_core::ShiftError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod characterize;

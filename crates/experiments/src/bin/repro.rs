@@ -37,7 +37,7 @@
 //! Standalone gate mode: `bench-compare <baseline> <current>` diffs two
 //! `BENCH_micro.json` snapshots and exits non-zero when any bench leaves
 //! the ±30% band (`shift_bench::compare::GATE_BAND`), a bench disappears,
-//! or the snapshots differ in mode or seed.
+//! or the snapshots differ in mode, seed or render kernel.
 //!
 //! `--quick` uses the reduced dataset and scaled-down scenarios (useful for
 //! smoke tests); `--smoke` additionally shrinks the stress sweep to one
@@ -369,7 +369,12 @@ fn main() -> ExitCode {
                     });
                 let rows = shift_bench::suite::run_suite_with(seed, &options, &fixture);
                 let mode = if smoke { "smoke" } else { "full" };
-                let snapshot = shift_bench::snapshot::Snapshot::new(mode, seed, rows.clone());
+                let snapshot = shift_bench::snapshot::Snapshot::new(
+                    mode,
+                    seed,
+                    shift_video::image::render_kernel(),
+                    rows.clone(),
+                );
                 if let Err(err) = write_atomic("BENCH_micro.json", &snapshot.to_json()) {
                     eprintln!("failed to write BENCH_micro.json: {err}");
                     return ExitCode::FAILURE;

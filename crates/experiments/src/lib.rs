@@ -59,6 +59,8 @@
 //! assert!(table.to_markdown().contains("YoloV7"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod chaos;
 pub mod cluster;

@@ -39,6 +39,8 @@
 //! assert!(summary.success_rate > 0.99);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod breakdown;
 pub mod cluster;
 pub mod curve;

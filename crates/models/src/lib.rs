@@ -30,6 +30,8 @@
 //! assert!(easy > hard);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod calibration;
 pub mod detection;
 pub mod family;

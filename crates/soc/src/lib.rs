@@ -32,6 +32,8 @@
 //! # Ok::<(), shift_soc::SocError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod accelerator;
 pub mod arbiter;
 pub mod device;

@@ -14,15 +14,16 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// The lazily computed per-image statistics consumed by the NCC hot path:
-/// the mean and the centered squared norm `Σ (v − mean)²`, each accumulated
-/// left-to-right in row-major order. Each sits in a cell of its own, so
-/// whichever pass over the pixels happens to compute one can store it:
-/// [`render_frame`] seeds the mean as it writes each row, and
-/// [`crate::ncc`] stores every norm it computes beside its cross term.
-/// Keeping the accumulation order is what keeps every consumer bit-identical
-/// to the historical three-sum formulation: each accumulator sees exactly
-/// the operand sequence it always did, only once per image instead of once
-/// per correlation.
+/// the mean and the centered squared norm `Σ (v − mean)²`. Both are
+/// bit-identical to a left-to-right accumulation in row-major order: the
+/// mean's sum comes from [`pixel_sum`], which gives the left-to-right fold's
+/// bits, and the norm is accumulated left to right. Each sits in a cell of
+/// its own, so whichever pass over the pixels happens to compute one can
+/// store it: [`render_frame`] seeds the mean from the pixels it just wrote,
+/// and [`crate::ncc`] stores every norm it computes beside its cross term.
+/// Keeping those bits is what keeps every consumer bit-identical to the
+/// historical three-sum formulation, with each statistic computed once per
+/// image instead of once per correlation.
 #[derive(Debug, Default)]
 struct Moments {
     mean: OnceLock<f64>,
@@ -30,12 +31,70 @@ struct Moments {
 }
 
 /// Where every pixel sum starts: `-0.0`, the neutral element `f64`'s `Sum`
-/// starts from, so a sum built row by row equals `.sum()` over the buffer.
+/// starts from, so [`pixel_sum`] equals `.sum()` over the buffer.
 const PIXEL_SUM_START: f64 = -0.0;
 
-/// Adds `pixels` to `sum` left to right.
-fn pixel_sum(sum: f64, pixels: &[f32]) -> f64 {
-    pixels.iter().fold(sum, |sum, &v| sum + v as f64)
+/// The number of independent accumulators [`pixel_sum`] adds into.
+const SUM_LANES: usize = 16;
+
+/// The longest buffer [`pixel_sum`] adds in lanes: 2¹³ pixels of magnitude
+/// at most 1, so no partial sum exceeds 2¹³ = 2⁵³ · 2⁻⁴⁰.
+const LANE_SUM_MAX_LEN: usize = 8192;
+
+/// The smallest non-zero pixel magnitude [`pixel_sum`] adds in lanes: 2⁻¹⁷.
+/// An `f32` at or above it has no bit below 2⁻¹⁷⁻²³ = 2⁻⁴⁰.
+const LANE_SUM_MIN_MAGNITUDE: f32 = 1.0 / 131_072.0;
+
+/// Whether [`pixel_sum`] may add `v` in a lane: `v` is ±0 or has magnitude
+/// in [2⁻¹⁷, 1] (so not NaN, not infinite, not subnormal).
+#[inline(always)]
+fn lane_exact(v: f32) -> bool {
+    (v == 0.0) | (LANE_SUM_MIN_MAGNITUDE..=1.0).contains(&v.abs())
+}
+
+/// The sum of `pixels` as `f64`, bit-identical to adding them left to right
+/// from [`PIXEL_SUM_START`].
+///
+/// That fold is one chain of dependent adds, so it runs at one add per add
+/// latency. When the buffer holds at most [`LANE_SUM_MAX_LEN`] pixels and
+/// every pixel is ±0 or has magnitude in [2⁻¹⁷, 1], the pixels go into
+/// [`SUM_LANES`] independent accumulators instead, which the compiler keeps
+/// in vector registers. That re-association cannot move a bit:
+///
+/// - every such pixel is a multiple of 2⁻⁴⁰;
+/// - so every partial sum, in any order, is a multiple of 2⁻⁴⁰ of magnitude
+///   at most 8,192 = 2⁵³ · 2⁻⁴⁰, which an `f64` holds exactly;
+/// - so no addition rounds, and both orders give the exact sum. Signed zeros
+///   agree too: a sum that starts at `-0.0` stays `-0.0` only while every
+///   term added to it is `-0.0`, in a lane as in the fold.
+///
+/// Any other buffer (longer, or with a subnormal, a tiny, a large or a
+/// non-finite pixel) takes the fold. Inlined always, so it compiles into
+/// [`render_frame`]'s AVX-512 copy.
+#[inline(always)]
+fn pixel_sum(pixels: &[f32]) -> f64 {
+    if pixels.len() <= LANE_SUM_MAX_LEN {
+        let mut lanes = [PIXEL_SUM_START; SUM_LANES];
+        let mut exact = true;
+        let chunks = pixels.chunks_exact(SUM_LANES);
+        let tail = chunks.remainder();
+        for chunk in chunks {
+            for (lane, &v) in lanes.iter_mut().zip(chunk) {
+                *lane += v as f64;
+                exact &= lane_exact(v);
+            }
+        }
+        for (lane, &v) in lanes.iter_mut().zip(tail) {
+            *lane += v as f64;
+            exact &= lane_exact(v);
+        }
+        if exact {
+            return lanes.iter().fold(PIXEL_SUM_START, |sum, &lane| sum + lane);
+        }
+    }
+    pixels
+        .iter()
+        .fold(PIXEL_SUM_START, |sum, &v| sum + v as f64)
 }
 
 /// A row-major grayscale image with `f32` pixel intensities in `[0, 1]`.
@@ -161,15 +220,17 @@ impl GrayImage {
         &self.data
     }
 
-    /// Mean pixel intensity, accumulated left-to-right over the row-major
-    /// buffer and cached. A rendered frame's mean arrives already cached:
-    /// [`render_frame`] sums each row as it finishes it.
+    /// Mean pixel intensity, cached. Its sum has the bits of a
+    /// left-to-right accumulation over the row-major buffer: the sum runs in
+    /// parallel lanes only when every partial sum is provably exact. A
+    /// rendered frame's mean arrives already cached: [`render_frame`] sums
+    /// the pixels right after writing them.
     pub fn mean(&self) -> f64 {
         *self.moments.mean.get_or_init(|| {
             if self.data.is_empty() {
                 return 0.0;
             }
-            pixel_sum(PIXEL_SUM_START, &self.data) / self.data.len() as f64
+            pixel_sum(&self.data) / self.data.len() as f64
         })
     }
 
@@ -301,6 +362,16 @@ impl Default for SceneAppearance {
 /// renders a frame without the target (the paper's scenarios contain windows
 /// where the UAV leaves the camera's field of view). `seed` controls the
 /// deterministic sensor noise so identical calls produce identical pixels.
+///
+/// The returned image's mean is already cached: the renderer sums the pixels
+/// right after writing them. On an x86-64 host with AVX-512 (F, DQ and VL)
+/// the pixel loop and that sum run in a copy of the same code compiled for
+/// those units, which do the noise hash's 64-bit multiplies and its
+/// `u64 → f64` conversion natively, eight lanes at a time. Both copies give
+/// the same bits: the hash is exact integer arithmetic, the float
+/// expressions are evaluated as written (Rust never fuses a multiply and an
+/// add into one FMA), and the sum re-associates only when no addition can
+/// round. [`render_kernel`] names the copy this host runs.
 pub fn render_frame(
     width: usize,
     height: usize,
@@ -308,63 +379,161 @@ pub fn render_frame(
     target: Option<&BoundingBox>,
     seed: u64,
 ) -> GrayImage {
-    let base = (0.25 + 0.55 * appearance.lighting) as f32;
-    let clutter = appearance.clutter as f32;
-    let phase = appearance.background_id as f32 * 1.7 + 0.31;
-    // The background texture is separable: every trigonometric factor
-    // depends on x alone or y alone, so the sin/cos evaluations are hoisted
-    // out of the pixel loop into four per-axis tables (`width + height`
-    // evaluations instead of `width * height`). The per-pixel expression
-    // multiplies the identical factors in the identical order, so the
-    // rendered pixels are bit-for-bit the same as the fused form.
-    let (mut low_x, mut high_x) = (vec![0.0f32; width], vec![0.0f32; width]);
-    for (x, (low, high)) in low_x.iter_mut().zip(high_x.iter_mut()).enumerate() {
-        let fx = x as f32 / width as f32 + appearance.camera_dx as f32;
-        *low = (fx * 6.3 + phase).sin();
-        *high = (fx * 61.0 + phase * 3.0).sin();
-    }
-    let (mut low_y, mut high_y) = (vec![0.0f32; height], vec![0.0f32; height]);
-    for (y, (low, high)) in low_y.iter_mut().zip(high_y.iter_mut()).enumerate() {
-        let fy = y as f32 / height as f32 + appearance.camera_dy as f32;
-        *low = (fy * 4.7 + phase * 0.5).cos();
-        *high = (fy * 53.0 + phase * 2.0).sin();
-    }
-    // The noise hash mixes its three inputs with independent wrapping
-    // multiplies, so the seed term hoists out of the loop entirely, the y
-    // term out of each row, and the x terms into a per-frame table. Wrapping
-    // u64 multiplication and addition are exact (no rounding), hence
-    // associativity/commutativity hold bit-for-bit and the regrouped hash
-    // input is the *same integer* the fused per-pixel form produced.
-    let noise_amp = appearance.noise as f32;
-    let base_h = (seed ^ appearance.background_id as u64).wrapping_mul(HASH_SEED_MUL);
-    let hash_x: Vec<u64> = (0..width)
-        .map(|x| (x as u64).wrapping_mul(HASH_X_MUL))
-        .collect();
-    let target = target.and_then(|bbox| Target::new(bbox, width, height, appearance));
+    let plan = FramePlan::new(width, height, appearance, target, seed);
     let mut img = GrayImage::new(width, height);
-    // Each row is finished (background, then the target's strokes on it)
-    // and added to the mean while it is still in cache. Continuing one sum
-    // row after row is the left-to-right order `mean` uses, so the stored
-    // mean is the one `mean` would compute, without a pass of its own.
-    let mut sum = PIXEL_SUM_START;
-    for (y, row) in img.pixels_mut().chunks_exact_mut(width).enumerate() {
-        let row_h = base_h.wrapping_add((y as u64).wrapping_mul(HASH_Y_MUL));
-        let (ly, hy) = (low_y[y], high_y[y]);
-        for (((px, &lx), &hx), &xh) in row.iter_mut().zip(&low_x).zip(&high_x).zip(&hash_x) {
-            // Low-frequency structure unique to the background id.
-            let lowf = (lx * ly) * 0.18;
-            // High-frequency clutter texture.
-            let highf = (hx * hy) * 0.30;
-            let noise = finish_hash(row_h.wrapping_add(xh)) * noise_amp;
-            *px = (base + lowf + clutter * highf + noise).clamp(0.0, 1.0);
-        }
-        if let Some(target) = &target {
-            target.draw_row(y, row);
-        }
-        sum = pixel_sum(sum, row);
-    }
+    let sum = plan.paint(img.pixels_mut());
     let _ = img.moments.mean.set(sum / img.len() as f64);
     img
+}
+
+/// The copy of the pixel loop [`render_frame`] runs on this host:
+/// `"avx512"` when it is an x86-64 host with AVX-512 F, DQ and VL, else
+/// `"portable"`. Both give the same pixels and the same mean; only the
+/// speed differs, which is why timing snapshots record it.
+pub fn render_kernel() -> &'static str {
+    if has_avx512() {
+        "avx512"
+    } else {
+        "portable"
+    }
+}
+
+/// Whether this host has the AVX-512 subsets [`FramePlan::paint_avx512`]
+/// is compiled for. The standard library caches the detection.
+fn has_avx512() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512dq")
+            && is_x86_feature_detected!("avx512vl")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Everything [`render_frame`]'s pixel loop reads, computed once per frame.
+struct FramePlan {
+    width: usize,
+    base: f32,
+    clutter: f32,
+    noise_amp: f32,
+    /// The noise hash's seed term.
+    base_h: u64,
+    low_x: Vec<f32>,
+    high_x: Vec<f32>,
+    low_y: Vec<f32>,
+    high_y: Vec<f32>,
+    /// The noise hash's per-column terms.
+    hash_x: Vec<u64>,
+    target: Option<Target>,
+}
+
+impl FramePlan {
+    fn new(
+        width: usize,
+        height: usize,
+        appearance: &SceneAppearance,
+        target: Option<&BoundingBox>,
+        seed: u64,
+    ) -> Self {
+        let phase = appearance.background_id as f32 * 1.7 + 0.31;
+        // The background texture is separable: every trigonometric factor
+        // depends on x alone or y alone, so the sin/cos evaluations are
+        // hoisted out of the pixel loop into four per-axis tables
+        // (`width + height` evaluations instead of `width * height`). The
+        // per-pixel expression multiplies the identical factors in the
+        // identical order, so the rendered pixels are bit-for-bit the same
+        // as the fused form.
+        let (mut low_x, mut high_x) = (vec![0.0f32; width], vec![0.0f32; width]);
+        for (x, (low, high)) in low_x.iter_mut().zip(high_x.iter_mut()).enumerate() {
+            let fx = x as f32 / width as f32 + appearance.camera_dx as f32;
+            *low = (fx * 6.3 + phase).sin();
+            *high = (fx * 61.0 + phase * 3.0).sin();
+        }
+        let (mut low_y, mut high_y) = (vec![0.0f32; height], vec![0.0f32; height]);
+        for (y, (low, high)) in low_y.iter_mut().zip(high_y.iter_mut()).enumerate() {
+            let fy = y as f32 / height as f32 + appearance.camera_dy as f32;
+            *low = (fy * 4.7 + phase * 0.5).cos();
+            *high = (fy * 53.0 + phase * 2.0).sin();
+        }
+        // The noise hash mixes its three inputs with independent wrapping
+        // multiplies, so the seed term hoists out of the loop entirely, the
+        // y term out of each row, and the x terms into a per-frame table.
+        // Wrapping u64 multiplication and addition are exact (no rounding),
+        // hence associativity/commutativity hold bit-for-bit and the
+        // regrouped hash input is the *same integer* the fused per-pixel
+        // form produced.
+        Self {
+            width,
+            base: (0.25 + 0.55 * appearance.lighting) as f32,
+            clutter: appearance.clutter as f32,
+            noise_amp: appearance.noise as f32,
+            base_h: (seed ^ appearance.background_id as u64).wrapping_mul(HASH_SEED_MUL),
+            low_x,
+            high_x,
+            low_y,
+            high_y,
+            hash_x: (0..width)
+                .map(|x| (x as u64).wrapping_mul(HASH_X_MUL))
+                .collect(),
+            target: target.and_then(|bbox| Target::new(bbox, width, height, appearance)),
+        }
+    }
+
+    /// Paints the frame into `pixels` and returns their [`pixel_sum`], on
+    /// the AVX-512 copy when [`has_avx512`] finds its features, else on the
+    /// portable one.
+    #[allow(unsafe_code)]
+    fn paint(&self, pixels: &mut [f32]) -> f64 {
+        #[cfg(target_arch = "x86_64")]
+        if has_avx512() {
+            // SAFETY: `paint_avx512` may only run on a CPU with avx512f,
+            // avx512dq and avx512vl, its `target_feature` set, and
+            // `has_avx512` has just detected all three on this CPU.
+            return unsafe { self.paint_avx512(pixels) };
+        }
+        self.paint_pixels(pixels)
+    }
+
+    /// [`paint_pixels`](Self::paint_pixels) compiled for AVX-512.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    fn paint_avx512(&self, pixels: &mut [f32]) -> f64 {
+        self.paint_pixels(pixels)
+    }
+
+    /// The pixel loop: each row's background and noise, then the target's
+    /// strokes on that row, then the sum of the finished frame. Inlined
+    /// always, like everything it calls, so each caller compiles its own
+    /// copy for its own target features.
+    #[inline(always)]
+    fn paint_pixels(&self, pixels: &mut [f32]) -> f64 {
+        for (y, row) in pixels.chunks_exact_mut(self.width).enumerate() {
+            let row_h = self
+                .base_h
+                .wrapping_add((y as u64).wrapping_mul(HASH_Y_MUL));
+            let (ly, hy) = (self.low_y[y], self.high_y[y]);
+            for (((px, &lx), &hx), &xh) in row
+                .iter_mut()
+                .zip(&self.low_x)
+                .zip(&self.high_x)
+                .zip(&self.hash_x)
+            {
+                // Low-frequency structure unique to the background id.
+                let lowf = (lx * ly) * 0.18;
+                // High-frequency clutter texture.
+                let highf = (hx * hy) * 0.30;
+                let noise = finish_hash(row_h.wrapping_add(xh)) * self.noise_amp;
+                *px = (self.base + lowf + self.clutter * highf + noise).clamp(0.0, 1.0);
+            }
+            if let Some(target) = &self.target {
+                target.draw_row(y, row);
+            }
+        }
+        pixel_sum(pixels)
+    }
 }
 
 /// The UAV target: a cross-shaped blob whose intensity offset from the
@@ -409,7 +578,9 @@ impl Target {
     }
 
     /// Darkens the pixels of row `y` that the blob covers, clamping to
-    /// `[0, 1]` as [`GrayImage::set`] does.
+    /// `[0, 1]` as [`GrayImage::set`] does. Inlined always, so it compiles
+    /// into both copies of [`FramePlan::paint_pixels`].
+    #[inline(always)]
     fn draw_row(&self, y: usize, row: &mut [f32]) {
         if !self.rows.contains(&y) {
             return;
@@ -450,7 +621,12 @@ fn hash_noise(x: u64, y: u64, seed: u64) -> f32 {
 }
 
 /// The avalanche + `[-0.5, 0.5]` mapping half of [`hash_noise`], split out so
-/// the renderer can feed it pre-mixed row/column terms.
+/// the renderer can feed it pre-mixed row/column terms. Inlined always, so
+/// it compiles into both copies of [`FramePlan::paint_pixels`]: on the
+/// AVX-512 copy its 64-bit multiplies and its `u64 → f64` conversion are
+/// single vector instructions, and the results are the same integers and
+/// the same correctly rounded floats.
+#[inline(always)]
 fn finish_hash(mut h: u64) -> f32 {
     h ^= h >> 30;
     h = h.wrapping_mul(HASH_X_MUL);
@@ -589,6 +765,223 @@ mod tests {
                     assert_eq!(hoisted.to_bits(), hash_noise(x, y, seed).to_bits());
                 }
             }
+        }
+    }
+
+    fn bits(pixels: &[f32]) -> Vec<u32> {
+        pixels.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The left-to-right fold [`pixel_sum`] must reproduce bit for bit.
+    fn serial_sum(pixels: &[f32]) -> f64 {
+        pixels.iter().fold(-0.0, |sum, &v| sum + v as f64)
+    }
+
+    /// The background as one formula per pixel: the sin/cos factors
+    /// evaluated at the pixel and the fused [`hash_noise`], with nothing
+    /// hoisted into tables.
+    fn per_pixel_background(
+        width: usize,
+        height: usize,
+        appearance: &SceneAppearance,
+        seed: u64,
+    ) -> Vec<f32> {
+        let base = (0.25 + 0.55 * appearance.lighting) as f32;
+        let phase = appearance.background_id as f32 * 1.7 + 0.31;
+        let noise_seed = seed ^ appearance.background_id as u64;
+        let mut pixels = Vec::with_capacity(width * height);
+        for y in 0..height {
+            for x in 0..width {
+                let fx = x as f32 / width as f32 + appearance.camera_dx as f32;
+                let fy = y as f32 / height as f32 + appearance.camera_dy as f32;
+                let lowf = ((fx * 6.3 + phase).sin() * (fy * 4.7 + phase * 0.5).cos()) * 0.18;
+                let highf =
+                    ((fx * 61.0 + phase * 3.0).sin() * (fy * 53.0 + phase * 2.0).sin()) * 0.30;
+                let noise = hash_noise(x as u64, y as u64, noise_seed) * appearance.noise as f32;
+                let value = base + lowf + appearance.clutter as f32 * highf + noise;
+                pixels.push(value.clamp(0.0, 1.0));
+            }
+        }
+        pixels
+    }
+
+    #[test]
+    fn dispatched_render_is_bit_identical_to_the_portable_body() {
+        // `render_frame` runs the AVX-512 copy of `paint_pixels` on a host
+        // that has it; here the portable body runs directly, and the two
+        // must agree on every pixel and on the stored mean. On a host
+        // without AVX-512 `render_frame` runs the portable body as well, so
+        // the two sides are one path there, and the per-pixel background
+        // and the serial fold below remain the independent checks.
+        let defaults = SceneAppearance::default();
+        let appearances = [
+            defaults,
+            SceneAppearance {
+                noise: 0.0,
+                ..defaults
+            },
+            SceneAppearance {
+                background_id: 9,
+                clutter: 1.0,
+                contrast: 1.0,
+                lighting: 1.0,
+                noise: 1.0,
+                ..defaults
+            },
+            SceneAppearance {
+                background_id: u32::MAX,
+                lighting: 0.0,
+                camera_dx: 37.5,
+                camera_dy: -12.25,
+                ..defaults
+            },
+        ];
+        for (width, height) in [(1, 1), (3, 5), (17, 9), (64, 64), (65, 63), (100, 7)] {
+            let (w, h) = (width as f64, height as f64);
+            let (bw, bh) = (w / 2.0 + 1.0, h / 2.0 + 1.0);
+            let targets = [
+                None,
+                Some(BoundingBox::from_center(w / 2.0, h / 2.0, w / 3.0, h / 3.0)),
+                // Clipped at the left, right, top and bottom edges.
+                Some(BoundingBox::from_center(0.0, h / 2.0, bw, bh)),
+                Some(BoundingBox::from_center(w, h / 2.0, bw, bh)),
+                Some(BoundingBox::from_center(w / 2.0, 0.0, bw, bh)),
+                Some(BoundingBox::from_center(w / 2.0, h, bw, bh)),
+            ];
+            for appearance in &appearances {
+                for seed in [0, 7, u64::MAX] {
+                    for target in &targets {
+                        let case =
+                            format!("{width}x{height}, {appearance:?}, seed {seed}, {target:?}");
+                        let dispatched =
+                            render_frame(width, height, appearance, target.as_ref(), seed);
+                        let plan = FramePlan::new(width, height, appearance, target.as_ref(), seed);
+                        let mut portable = vec![0.0f32; width * height];
+                        let sum = plan.paint_pixels(&mut portable);
+                        assert_eq!(bits(dispatched.pixels()), bits(&portable), "{case}");
+                        assert_eq!(sum.to_bits(), serial_sum(&portable).to_bits(), "{case}");
+                        let mean = sum / portable.len() as f64;
+                        assert_eq!(dispatched.mean().to_bits(), mean.to_bits(), "{case}");
+                        if target.is_none() {
+                            let reference = per_pixel_background(width, height, appearance, seed);
+                            assert_eq!(bits(&portable), bits(&reference), "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_sum_is_bit_identical_to_the_serial_fold() {
+        let check = |pixels: &[f32], case: &str| {
+            let serial = serial_sum(pixels);
+            assert_eq!(pixel_sum(pixels).to_bits(), serial.to_bits(), "{case}");
+            let img = GrayImage::from_fn(pixels.len(), 1, |x, _| pixels[x]);
+            let mean = serial / pixels.len() as f64;
+            assert_eq!(img.mean().to_bits(), mean.to_bits(), "{case} (mean)");
+        };
+        // Random images in [0, 1] with full-precision pixels: every lane
+        // remainder, and both sides of the length bound.
+        let mut h = 0x243F_6A88_85A3_08D3u64;
+        let mut unit = || {
+            // splitmix64: a Weyl step, then the finalizer.
+            h = h.wrapping_add(HASH_SEED_MUL);
+            let mut z = (h ^ (h >> 30)).wrapping_mul(HASH_X_MUL);
+            z = (z ^ (z >> 27)).wrapping_mul(HASH_Y_MUL);
+            z ^= z >> 31;
+            ((z >> 11) as f64 / (1u64 << 53) as f64) as f32
+        };
+        let lengths = (1..=64).chain((65..8_176).step_by(97)).chain(8_176..=8_200);
+        for len in lengths {
+            let pixels: Vec<f32> = (0..len).map(|_| unit()).collect();
+            check(&pixels, &format!("random, {len} pixels"));
+        }
+
+        // `len` pixels: the first `ones` are 1.0, then zeros, with `puts`
+        // written over them.
+        let image = |len: usize, ones: usize, puts: &[(usize, f32)]| {
+            let mut pixels = vec![0.0f32; len];
+            pixels[..ones].fill(1.0);
+            for &(at, v) in puts {
+                pixels[at] = v;
+            }
+            pixels
+        };
+        // Spelled from 2⁻¹⁷ itself, not from the constant under test.
+        let floor = 2f32.powi(-17);
+        let below_floor = f32::from_bits(floor.to_bits() - 1);
+        let above_floor = f32::from_bits(floor.to_bits() + 1);
+        let tiny = 2f32.powi(-53);
+        let subnormal = f32::from_bits(1);
+        let nan_a = f32::from_bits(0x7FC0_0001);
+        let nan_b = f32::from_bits(0xFFC0_0002);
+        // Edge cases. Those that would sum differently in lanes than left
+        // to right name the check that keeps them off the lanes.
+        let adversarial = [
+            // Magnitude floor: 2⁻⁵³ twice in lane 1 beside 1.0 in lane 0.
+            // Left to right each 2⁻⁵³ is half an ulp of 1 and rounds away;
+            // in lanes they add to 2⁻⁵² first, and 1 + 2⁻⁵² is exact.
+            ("2^-53 beside 1.0", image(18, 1, &[(1, tiny), (17, tiny)])),
+            // Magnitude floor: just below 2⁻¹⁷ has a bit at 2⁻⁴¹, which
+            // rounds in a sum of 4,096 but not in a lane's 256.
+            (
+                "just below 2^-17 beside 4096 ones",
+                image(8_192, 4_096, &[(4_096, below_floor), (4_112, below_floor)]),
+            ),
+            (
+                "subnormals beside ones",
+                image(
+                    64,
+                    16,
+                    &[(16, subnormal), (32, -subnormal), (48, subnormal)],
+                ),
+            ),
+            // Magnitude ceiling: 200 ones in lane 1 vanish one by one
+            // beside 2⁶⁰, but not as one lane sum of 200.
+            ("ones beside 2^60", {
+                let mut pixels = vec![0.0f32; 16 * 200];
+                pixels[0] = 2f32.powi(60);
+                for k in 0..200 {
+                    pixels[1 + 16 * k] = 1.0;
+                }
+                pixels
+            }),
+            (
+                "above 1",
+                image(40, 20, &[(3, 1.5), (19, 3.25), (35, 1.0e30)]),
+            ),
+            (
+                "negative",
+                image(40, 20, &[(3, -0.5), (19, -2.0), (35, -1.0e30)]),
+            ),
+            // Non-finite pixels: two NaN payloads meet in a different order
+            // in lanes, and ±∞ make a NaN either way.
+            ("two NaNs", image(40, 8, &[(1, nan_a), (16, nan_b)])),
+            (
+                "±infinity",
+                image(40, 8, &[(2, f32::INFINITY), (19, f32::NEG_INFINITY)]),
+            ),
+            ("infinity", image(40, 8, &[(5, f32::INFINITY)])),
+            // Signed zeros: the sum stays -0.0 only if every pixel is -0.0.
+            ("all -0.0", vec![-0.0f32; 37]),
+            ("all -0.0, one lane", vec![-0.0f32; 5]),
+            ("mixed ±0", image(37, 0, &[(3, -0.0), (20, -0.0)])),
+            ("-0.0 then +0.0", {
+                let mut pixels = vec![-0.0f32; 37];
+                pixels[36] = 0.0;
+                pixels
+            }),
+            ("±1 cancel to +0.0", image(32, 0, &[(0, 1.0), (17, -1.0)])),
+            // Length bound: past 8,192 ones, 2⁻¹⁷ + 2⁻⁴⁰ is an odd multiple
+            // of half an ulp and rounds, twice; a lane holds both exactly.
+            (
+                "8,192 ones, then 2^-17 + 2^-40 twice in one lane",
+                image(8_212, 8_192, &[(8_192, above_floor), (8_208, above_floor)]),
+            ),
+        ];
+        for (case, pixels) in &adversarial {
+            check(pixels, case);
         }
     }
 

@@ -28,6 +28,9 @@
 //! assert_eq!(frames, 10);
 //! ```
 
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod bbox;
 pub mod context;
 pub mod dataset;

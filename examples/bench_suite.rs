@@ -9,6 +9,7 @@
 use shift::bench::compare::{compare, GATE_BAND};
 use shift::bench::snapshot::Snapshot;
 use shift::bench::suite::{run_suite, SuiteOptions};
+use shift::video::image::render_kernel;
 
 fn main() {
     // 1. Run the suite in smoke sizing (the same sizing CI uses).
@@ -21,7 +22,7 @@ fn main() {
 
     // 2. Reduce the run to a snapshot — this is exactly what
     //    `repro -- bench` writes to BENCH_micro.json.
-    let snapshot = Snapshot::new("smoke", 2024, rows);
+    let snapshot = Snapshot::new("smoke", 2024, render_kernel(), rows);
     let json = snapshot.to_json();
     println!("\nsnapshot wire format ({} bytes):\n{json}", json.len());
     // The file keeps ns/op to 0.1 ns, so the wire text (not the raw

@@ -16,6 +16,7 @@
 //! [`core`] (`shift-core`) for the runtime and [`experiments`]
 //! (`shift-experiments`) for the paper-reproduction harness.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use shift_baselines as baselines;

@@ -2,8 +2,9 @@
 //!
 //! The hot-path speed campaign (cached-moment NCC with the missing centered
 //! norms fused into the cross-term loop, the renderer's row-wise target pass
-//! that also seeds each frame's mean, the fused zero-alloc region scratch
-//! and the dominance-pruned scheduler arg-max) promises *bit-identical*
+//! and the frame mean it seeds, the mean's lane sum that re-associates only
+//! when every partial sum is exact, the fused zero-alloc region scratch and
+//! the dominance-pruned scheduler arg-max) promises *bit-identical*
 //! outputs, not approximately-equal ones — the committed stress and chaos
 //! artifacts depend on it. This suite keeps the historical implementations
 //! alive as private references and asserts `f64::to_bits` equality against
@@ -319,10 +320,11 @@ proptest! {
     }
 
     /// `render_frame` draws the target row by row, right after each row's
-    /// background, and stores the mean it sums as it goes. Its pixels equal
-    /// the historical box-free render plus the per-pixel `get`/`set` target
-    /// pass, and its mean equals one left-to-right sum, for a drawn box,
-    /// boxes clipped at each edge, boxes empty after clamping and no box.
+    /// background, and stores the mean of the finished frame. Its pixels
+    /// equal the historical box-free render plus the per-pixel `get`/`set`
+    /// target pass, and its mean equals one left-to-right sum, for a drawn
+    /// box, boxes clipped at each edge, boxes empty after clamping and no
+    /// box.
     #[test]
     fn row_wise_render_is_bit_identical_to_per_pixel_target_pass(
         dims in (8usize..48, 8usize..48),
@@ -366,6 +368,37 @@ proptest! {
             prop_assert_eq!(fast.mean().to_bits(), reference_mean(&fast).to_bits(),
                 "stored mean {} drifted for {:?}", fast.mean(), target);
         }
+    }
+
+    /// `GrayImage::mean` adds in parallel lanes only when the image has at
+    /// most 8,192 pixels, each ±0 or of magnitude in [2⁻¹⁷, 1], so that no
+    /// partial sum can round. On images drawn on both sides of that length
+    /// bound, mixing in-range pixels with ones the lanes must refuse (signed
+    /// zeros, a subnormal, 2⁻⁵³, just below 2⁻¹⁷, above 1, negative, NaN
+    /// and ∞), it equals one left-to-right sum.
+    #[test]
+    fn lane_summed_mean_is_bit_identical_to_one_left_to_right_sum(
+        len in 1usize..8_300,
+        pool in proptest::collection::vec((0usize..64, 0.0..1.0f64), 1..48),
+    ) {
+        let special = [
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            2f32.powi(-53),
+            f32::from_bits(2f32.powi(-17).to_bits() - 1),
+            1.5,
+            -0.25,
+            -1.0e30,
+            f32::NAN,
+            f32::INFINITY,
+        ];
+        let img = GrayImage::from_fn(len, 1, |x, _| {
+            let (kind, v) = pool[x % pool.len()];
+            special.get(kind).copied().unwrap_or(v as f32)
+        });
+        prop_assert_eq!(img.mean().to_bits(), reference_mean(&img).to_bits(),
+            "{} pixels from {:?}", len, pool);
     }
 
     /// A clone shares its original's cached mean and norm until `set`
