@@ -11,12 +11,15 @@
 //! subset of the dataset used for training the models" — it never sees the
 //! evaluation scenarios.
 
+use crate::graph::{ConfidenceGraph, GraphConfig};
 use crate::traits::{AcceleratorStats, ModelTraits};
 use serde::{Deserialize, Serialize};
 use shift_models::ModelId;
 use shift_soc::ExecutionEngine;
 use shift_video::CharacterizationDataset;
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// What one model reported on one validation frame.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -38,16 +41,97 @@ pub struct SampleObservation {
     pub per_model: BTreeMap<ModelId, ModelObservation>,
 }
 
-/// The complete output of the offline characterization pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The complete output of the offline characterization pass, and the
+/// confidence graphs derived from it.
+///
+/// The samples are immutable and shared: a clone takes them by [`Arc`]
+/// instead of copying them. The graphs are shared too. As in the paper,
+/// the confidence graph is built once, offline, and the runtime only looks
+/// it up (§III-A): [`graph`](Self::graph) builds one graph per
+/// [`GraphConfig`] on first use, and the original and every clone return
+/// that same graph from then on. So every [`StreamAgent`], and through it
+/// every runtime, fleet, service and cluster node, built from one
+/// characterization and one configuration runs on one graph.
+///
+/// [`PartialEq`] and [`Debug`] see the traits and the samples only, not
+/// which graphs have been built. The memo is why the type carries no serde
+/// derive: its traits and samples are the serializable part.
+///
+/// [`StreamAgent`]: crate::runtime::StreamAgent
+#[derive(Clone, Default)]
 pub struct Characterization {
     /// Aggregated traits per model.
     pub traits: BTreeMap<ModelId, ModelTraits>,
     /// Per-frame observations (the confidence graph's training data).
-    pub samples: Vec<SampleObservation>,
+    /// Assigning new samples leaves the graphs built from the old ones
+    /// behind: [`graph`](Self::graph) then builds from the new samples.
+    pub samples: Arc<[SampleObservation]>,
+    graphs: GraphMemo,
+}
+
+/// The confidence graphs built from a characterization, shared by all its
+/// clones. An entry answers a request only when the request's samples are
+/// the entry's own allocation and its configuration is bit-equal. Each
+/// entry holds its samples, so their address cannot be freed and reused by
+/// other samples while the entry exists.
+#[derive(Clone, Default)]
+struct GraphMemo(Arc<Mutex<Vec<GraphEntry>>>);
+
+struct GraphEntry {
+    samples: Arc<[SampleObservation]>,
+    config: GraphConfig,
+    graph: Arc<ConfidenceGraph>,
+}
+
+/// Whether two graph configurations are the same bits, so that a graph
+/// built under one is exactly the graph the other would build.
+fn same_bits(a: GraphConfig, b: GraphConfig) -> bool {
+    a.bin_width.to_bits() == b.bin_width.to_bits()
+        && a.distance_threshold.to_bits() == b.distance_threshold.to_bits()
+}
+
+impl PartialEq for Characterization {
+    fn eq(&self, other: &Self) -> bool {
+        self.traits == other.traits && self.samples == other.samples
+    }
+}
+
+impl fmt::Debug for Characterization {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Characterization")
+            .field("traits", &self.traits)
+            .field("samples", &self.samples)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Characterization {
+    /// The confidence graph of these samples under `config`, built on the
+    /// first call for that configuration and shared by every later call on
+    /// this characterization or any of its clones.
+    ///
+    /// The graph is identical to `ConfidenceGraph::build(&self.samples,
+    /// config)`. Concurrent first calls build it once: the memo stays locked
+    /// while a graph is built.
+    pub fn graph(&self, config: GraphConfig) -> Arc<ConfidenceGraph> {
+        // An entry is pushed only after its build returned, so a build that
+        // panicked left the list whole and a poisoned lock is still usable.
+        let mut entries = self.graphs.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let hit = entries
+            .iter()
+            .find(|e| Arc::ptr_eq(&e.samples, &self.samples) && same_bits(e.config, config));
+        if let Some(entry) = hit {
+            return Arc::clone(&entry.graph);
+        }
+        let graph = Arc::new(ConfidenceGraph::build(&self.samples, config));
+        entries.push(GraphEntry {
+            samples: Arc::clone(&self.samples),
+            config,
+            graph: Arc::clone(&graph),
+        });
+        graph
+    }
+
     /// Traits of `model`, if it was characterized.
     pub fn traits_of(&self, model: ModelId) -> Option<&ModelTraits> {
         self.traits.get(&model)
@@ -166,7 +250,11 @@ pub fn characterize(
         );
     }
 
-    Characterization { traits, samples }
+    Characterization {
+        traits,
+        samples: samples.into(),
+        graphs: GraphMemo::default(),
+    }
 }
 
 #[cfg(test)]
@@ -193,7 +281,7 @@ mod tests {
         assert_eq!(c.models().len(), 8);
         assert_eq!(c.sample_count(), 150);
         assert!(!c.is_empty());
-        for sample in &c.samples {
+        for sample in c.samples.iter() {
             assert_eq!(sample.per_model.len(), 8, "every model observed per frame");
         }
     }
@@ -259,5 +347,114 @@ mod tests {
         let a = characterize(&engine(), &dataset);
         let b = characterize(&engine(), &dataset);
         assert_eq!(a, b);
+    }
+
+    fn wide() -> GraphConfig {
+        GraphConfig::paper_defaults().with_distance_threshold(0.8)
+    }
+
+    #[test]
+    fn a_clone_shares_the_originals_graph_for_each_config() {
+        let original = small_characterization();
+        let clone = original.clone();
+        assert!(
+            Arc::ptr_eq(&original.samples, &clone.samples),
+            "no deep copy"
+        );
+        let paper = GraphConfig::paper_defaults();
+        let paper_graph = original.graph(paper);
+        assert!(Arc::ptr_eq(&paper_graph, &clone.graph(paper)));
+        assert!(Arc::ptr_eq(&paper_graph, &original.graph(paper)));
+        let wide_graph = clone.graph(wide());
+        assert!(Arc::ptr_eq(&wide_graph, &original.graph(wide())));
+        assert!(!Arc::ptr_eq(&paper_graph, &wide_graph));
+        assert_eq!(
+            *paper_graph,
+            ConfidenceGraph::build(&original.samples, paper)
+        );
+        assert_eq!(
+            *wide_graph,
+            ConfidenceGraph::build(&original.samples, wide())
+        );
+        assert_ne!(*paper_graph, *wide_graph);
+    }
+
+    #[test]
+    fn configs_that_compare_equal_but_differ_in_bits_get_their_own_graphs() {
+        let c = small_characterization();
+        let zero = GraphConfig::paper_defaults().with_distance_threshold(0.0);
+        let mut negative_zero = zero;
+        negative_zero.distance_threshold = -0.0;
+        assert_eq!(zero, negative_zero);
+        let graph = c.graph(zero);
+        let other = c.graph(negative_zero);
+        assert!(!Arc::ptr_eq(&graph, &other));
+        assert_eq!(*other, ConfidenceGraph::build(&c.samples, negative_zero));
+    }
+
+    #[test]
+    fn replaced_samples_never_get_a_stale_graph() {
+        let original = small_characterization();
+        let paper = GraphConfig::paper_defaults();
+        let old_graph = original.graph(paper);
+        let mut prefix = original.clone();
+        prefix.samples = original.samples[..40].into();
+        let graph = prefix.graph(paper);
+        assert!(!Arc::ptr_eq(&graph, &old_graph));
+        assert_eq!(
+            *graph,
+            ConfidenceGraph::build(&original.samples[..40], paper)
+        );
+        assert_ne!(*graph, *old_graph, "the prefix builds a different graph");
+        // The prefix's graph is shared by its own clones, and the original
+        // keeps its own.
+        assert!(Arc::ptr_eq(&graph, &prefix.clone().graph(paper)));
+        assert!(Arc::ptr_eq(&old_graph, &original.graph(paper)));
+        // Samples replaced by equal contents in a new allocation build again
+        // rather than trust a graph keyed on other samples.
+        let mut copied = original.clone();
+        copied.samples = original.samples.to_vec().into();
+        let rebuilt = copied.graph(paper);
+        assert!(!Arc::ptr_eq(&rebuilt, &old_graph));
+        assert_eq!(*rebuilt, *old_graph);
+    }
+
+    #[test]
+    fn concurrent_first_calls_share_one_graph() {
+        let c = small_characterization();
+        let paper = GraphConfig::paper_defaults();
+        // The barrier releases both first calls together, so they contend
+        // for the memo; the assertions must hold in whichever order they
+        // take the lock.
+        let start = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                start.wait();
+                c.graph(paper)
+            });
+            let b = scope.spawn(|| {
+                let clone = c.clone();
+                start.wait();
+                clone.graph(paper)
+            });
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(*a, *b);
+        assert!(Arc::ptr_eq(&a, &b), "the locked memo builds once");
+        assert_eq!(*a, ConfidenceGraph::build(&c.samples, paper));
+    }
+
+    #[test]
+    fn equality_and_debug_ignore_the_built_graphs() {
+        let built = small_characterization();
+        let fresh = built.clone();
+        let before = format!("{built:?}");
+        built.graph(GraphConfig::paper_defaults());
+        assert_eq!(format!("{built:?}"), before);
+        let mut unshared = built.clone();
+        unshared.samples = built.samples.to_vec().into();
+        assert_eq!(built, fresh);
+        assert_eq!(built, unshared, "equal samples in another allocation");
+        assert!(Characterization::default().is_empty());
     }
 }

@@ -265,7 +265,9 @@ pub enum ExecutionMode {
 ///
 /// Each node brings its own [`ExecutionEngine`] (over the platform of its
 /// [`DeviceClass`]) and the characterization computed *on that platform* —
-/// an OAK-D-only node only knows the models its VPU can run.
+/// an OAK-D-only node only knows the models its VPU can run. Nodes given
+/// clones of one characterization share its confidence graphs
+/// ([`Characterization::graph`]).
 #[derive(Debug)]
 pub struct ClusterBuilder {
     policy: ClusterPolicy,

@@ -47,7 +47,6 @@
 
 use crate::characterize::Characterization;
 use crate::config::ShiftConfig;
-use crate::graph::{ConfidenceGraph, GraphConfig};
 use crate::loader::DynamicModelLoader;
 use crate::runtime::{FrameOutcome, LoadCharge, ResilienceCounters, StreamAgent};
 use crate::scheduler::{CandidatePair, Decision};
@@ -58,7 +57,6 @@ use shift_soc::{
     SocError,
 };
 use shift_video::{Frame, FrameStream, Scenario};
-use std::sync::Arc;
 
 /// Description of one stream joining a fleet: a scenario to play and the
 /// SHIFT configuration (including the per-stream accuracy goal) to play it
@@ -256,14 +254,13 @@ struct StreamState {
 /// Drives N concurrent SHIFT streams against a single shared
 /// [`ExecutionEngine`].
 ///
-/// The streams [`FleetRuntime::new`] attaches (and so those of
-/// [`FleetBuilder::build`] and of a
-/// [`FleetService`](crate::service::FleetService)) come from one
-/// characterization, so they share one confidence graph per
-/// [`GraphConfig`]: the first stream that needs a configuration builds its
-/// graph and later ones take it by [`Arc`]. A stream added through
-/// [`FleetRuntime::attach_stream`], which accepts any characterization,
-/// builds its own.
+/// Every stream takes its confidence graph from its characterization
+/// ([`Characterization::graph`]), so streams attached from one
+/// characterization, or from its clones, with one [`GraphConfig`] share one
+/// graph by [`Arc`](std::sync::Arc), however and whenever they were
+/// attached.
+///
+/// [`GraphConfig`]: crate::graph::GraphConfig
 ///
 /// ```
 /// use shift_core::prelude::*;
@@ -307,10 +304,6 @@ pub struct FleetRuntime {
     /// Per-stream scheduling examinations performed by admission so far —
     /// the step-count hook the O(active) regression test asserts on.
     stream_polls: u64,
-    /// The confidence graphs of the streams attached through
-    /// [`attach_shared`](Self::attach_shared), one per [`GraphConfig`],
-    /// each built on the first such attach that needs it.
-    graphs: Vec<(GraphConfig, Arc<ConfidenceGraph>)>,
 }
 
 impl FleetRuntime {
@@ -337,7 +330,7 @@ impl FleetRuntime {
         }
         let mut fleet = Self::empty(engine);
         for spec in specs {
-            fleet.attach_shared(characterization, spec)?;
+            fleet.attach_stream(characterization, spec)?;
         }
         Ok(fleet)
     }
@@ -358,7 +351,6 @@ impl FleetRuntime {
             steps: 0,
             ready: Vec::new(),
             stream_polls: 0,
-            graphs: Vec::new(),
         }
     }
 
@@ -382,43 +374,7 @@ impl FleetRuntime {
         characterization: &Characterization,
         spec: StreamSpec,
     ) -> Result<StreamHandle, ShiftError> {
-        let agent = StreamAgent::new(characterization, spec.config.clone())?;
-        self.attach_agent(agent, spec)
-    }
-
-    /// [`attach_stream`](Self::attach_stream), with the stream's confidence
-    /// graph taken from the fleet's memo: the first stream with a given
-    /// [`GraphConfig`] builds it, every later one shares it by [`Arc`].
-    ///
-    /// The memo is keyed by configuration alone, so every call on one fleet
-    /// must pass the same characterization. Its two callers do:
-    /// [`FleetRuntime::new`] attaches every spec from its one argument, and
-    /// a [`FleetService`](crate::service::FleetService) attaches every
-    /// session from the characterization it owns.
-    pub(crate) fn attach_shared(
-        &mut self,
-        characterization: &Characterization,
-        spec: StreamSpec,
-    ) -> Result<StreamHandle, ShiftError> {
-        let graphs = &mut self.graphs;
-        let agent = StreamAgent::with_graph(characterization, spec.config.clone(), |config| {
-            if let Some((_, graph)) = graphs.iter().find(|(built, _)| *built == config) {
-                return Arc::clone(graph);
-            }
-            let graph = Arc::new(ConfidenceGraph::build(&characterization.samples, config));
-            graphs.push((config, Arc::clone(&graph)));
-            graph
-        })?;
-        self.attach_agent(agent, spec)
-    }
-
-    /// Pre-loads `agent`'s initial pair and appends its slot, playing
-    /// `spec`'s scenario from `spec.start_frame`.
-    fn attach_agent(
-        &mut self,
-        mut agent: StreamAgent,
-        spec: StreamSpec,
-    ) -> Result<StreamHandle, ShiftError> {
+        let mut agent = StreamAgent::new(characterization, spec.config.clone())?;
         match self.preload(&mut agent) {
             Ok(()) | Err(SocError::OutOfMemory { .. }) => {}
             Err(other) => return Err(other.into()),
@@ -1091,6 +1047,7 @@ impl<'a> FleetBuilder<'a> {
 mod tests {
     use super::*;
     use crate::characterize::{characterize, Characterization};
+    use crate::graph::ConfidenceGraph;
     use crate::runtime::ShiftRuntime;
     use shift_models::{ModelZoo, ResponseModel};
     use shift_soc::{AcceleratorId, Platform};
@@ -1141,7 +1098,8 @@ mod tests {
             .stream(StreamSpec::new("wide", scenario.clone(), wide.clone()))
             .build()
             .unwrap();
-        // `attach_stream` accepts any characterization, so it builds afresh.
+        // A stream attached after construction takes its graph from the same
+        // characterization, so it shares the paper graph too.
         fleet
             .attach_stream(
                 &characterization,
@@ -1157,7 +1115,7 @@ mod tests {
             assert!(std::ptr::eq(graphs[0], *graph));
         }
         assert!(!std::ptr::eq(graphs[0], graphs[4]));
-        assert!(!std::ptr::eq(graphs[0], graphs[5]));
+        assert!(std::ptr::eq(graphs[0], graphs[5]));
         let paper_graph = ConfidenceGraph::build(&characterization.samples, paper.graph_config());
         let wide_graph = ConfidenceGraph::build(&characterization.samples, wide.graph_config());
         assert_eq!(graphs[0], &paper_graph);

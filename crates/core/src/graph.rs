@@ -536,7 +536,7 @@ mod tests {
         let graph =
             ConfidenceGraph::build(&characterization.samples, GraphConfig::paper_defaults());
         let mut pairs = Vec::new();
-        for sample in &characterization.samples {
+        for sample in characterization.samples.iter() {
             let (Some(yolo), Some(ssd)) = (
                 sample.per_model.get(&ModelId::YoloV7),
                 sample.per_model.get(&ModelId::SsdMobilenetV1),

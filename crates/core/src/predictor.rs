@@ -341,7 +341,9 @@ mod tests {
             ModelZoo::standard(),
             ResponseModel::new(4),
         );
-        characterize(&engine, &CharacterizationDataset::generate(150, 9)).samples
+        characterize(&engine, &CharacterizationDataset::generate(150, 9))
+            .samples
+            .to_vec()
     }
 
     #[test]

@@ -12,7 +12,6 @@ use crate::characterize::Characterization;
 use crate::config::ShiftConfig;
 use crate::context::ContextDetector;
 use crate::fleet::{FleetRuntime, StreamHandle};
-use crate::graph::{ConfidenceGraph, GraphConfig};
 use crate::scheduler::{CandidatePair, CandidateTable, Decision, Scheduler};
 use crate::ShiftError;
 use serde::{Deserialize, Serialize};
@@ -20,7 +19,6 @@ use shift_models::Detection;
 use shift_soc::{ExecutionEngine, FaultInjector, FaultPlan, InferenceReport};
 use shift_video::Frame;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Everything that happened while processing one frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -106,34 +104,25 @@ impl StreamAgent {
     /// when and on which engine to make it resident (see
     /// [`charge_pending_load`](Self::charge_pending_load)).
     ///
+    /// The agent's confidence graph comes from
+    /// [`Characterization::graph`]: every agent built from one
+    /// characterization (or its clones) with one [`GraphConfig`] shares one
+    /// graph, and only the first of them builds it.
+    ///
     /// # Errors
     ///
     /// Returns [`ShiftError::EmptyCharacterization`] when the
     /// characterization has no samples and [`ShiftError::NoCandidatePairs`]
-    /// when no model can run on any allowed accelerator.
+    /// when no model can run on any allowed accelerator. Neither builds a
+    /// graph.
+    ///
+    /// [`GraphConfig`]: crate::graph::GraphConfig
     pub fn new(
         characterization: &Characterization,
         config: ShiftConfig,
     ) -> Result<Self, ShiftError> {
-        Self::with_graph(characterization, config, |graph_config| {
-            Arc::new(ConfidenceGraph::build(
-                &characterization.samples,
-                graph_config,
-            ))
-        })
-    }
-
-    /// [`new`](Self::new) with the confidence graph supplied by `graph`,
-    /// which is called with the configuration's [`GraphConfig`] only once
-    /// the characterization and the configuration have passed `new`'s
-    /// checks. A fleet passes a lookup in its graph memo here.
-    pub(crate) fn with_graph(
-        characterization: &Characterization,
-        config: ShiftConfig,
-        graph: impl FnOnce(GraphConfig) -> Arc<ConfidenceGraph>,
-    ) -> Result<Self, ShiftError> {
         let table = CandidateTable::for_agent(characterization, &config)?;
-        let graph = graph(config.graph_config());
+        let graph = characterization.graph(config.graph_config());
         let scheduler = Scheduler::from_table(config, table, graph);
         let current = scheduler.initial_pair();
         Ok(Self {
@@ -258,7 +247,8 @@ impl StreamAgent {
 /// The SHIFT runtime.
 ///
 /// Construction performs the *online-side* setup only: the confidence graph
-/// is built from a pre-computed [`Characterization`], the scheduler and the
+/// is taken from a pre-computed [`Characterization`] (which builds it on
+/// first use and shares it with every later runtime), the scheduler and the
 /// dynamic model loader are initialized, and the initial model is pre-loaded
 /// onto its accelerator (charged to the first frame).
 ///
@@ -520,10 +510,7 @@ mod tests {
                 characterize(&engine, &CharacterizationDataset::generate(60, 12))
             })
             .collect();
-        characterizations.push(Characterization {
-            traits: Default::default(),
-            samples: Vec::new(),
-        });
+        characterizations.push(Characterization::default());
         let (mut built, mut errors) = (0, BTreeSet::new());
         for characterization in &characterizations {
             for allowed in &allowed_sets {
@@ -573,10 +560,7 @@ mod tests {
             ModelZoo::standard(),
             ResponseModel::new(6),
         );
-        let empty = Characterization {
-            traits: Default::default(),
-            samples: Vec::new(),
-        };
+        let empty = Characterization::default();
         let err = ShiftRuntime::new(engine, &empty, ShiftConfig::paper_defaults()).unwrap_err();
         assert_eq!(err, ShiftError::EmptyCharacterization);
     }

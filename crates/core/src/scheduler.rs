@@ -256,8 +256,9 @@ impl CandidateTable {
 ///
 /// The graph is shared by [`Arc`]: it is read-only once built, so every
 /// scheduler built from one characterization and one [`GraphConfig`] can
-/// use the same one. A fleet builds each graph once and hands it to all of
-/// its streams with that configuration.
+/// use the same one. The characterization builds each graph once
+/// ([`Characterization::graph`]) and every stream agent with that
+/// configuration takes it.
 ///
 /// All per-pair and per-model state lives in dense arrays indexed in lockstep
 /// (the candidate table's, plus `pair_dominated`, `buffers`, `averaged` and

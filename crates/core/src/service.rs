@@ -37,10 +37,13 @@
 //! it only if the higher-priority request then fits — no session is shed for
 //! an arrival that bounces anyway; only then is the request rejected.
 //!
-//! An admitted session's stream shares its confidence graph with every
-//! other stream on the service that has the same
-//! [`GraphConfig`](crate::graph::GraphConfig): the service builds one graph
-//! per configuration, on the first attach that needs it.
+//! An admitted session's stream takes its confidence graph from the
+//! service's characterization
+//! ([`Characterization::graph`](crate::characterize::Characterization::graph)),
+//! so it shares one graph with every other stream built from that
+//! characterization or its clones under the same
+//! [`GraphConfig`](crate::graph::GraphConfig): the first attach that needs
+//! a configuration builds its graph, on this service or on another one.
 //!
 //! # Determinism
 //!
@@ -501,7 +504,7 @@ impl FleetService {
     fn attach_preadmitted(&mut self, spec: StreamSpec) -> Result<(), ShiftError> {
         let goal = spec.config.accuracy_goal;
         let name = spec.name.clone();
-        let handle = self.fleet.attach_shared(&self.characterization, spec)?;
+        let handle = self.fleet.attach_stream(&self.characterization, spec)?;
         let id = self.mint_id();
         self.sessions.push(SessionState {
             id,
@@ -702,7 +705,7 @@ impl FleetService {
                     req.config.with_accuracy_goal(goal),
                 )
                 .with_start_frame(req.start_frame);
-                match self.fleet.attach_shared(&self.characterization, spec) {
+                match self.fleet.attach_stream(&self.characterization, spec) {
                     Ok(handle) => {
                         self.sessions.push(SessionState {
                             id,

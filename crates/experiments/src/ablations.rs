@@ -65,14 +65,13 @@ pub fn predictor_ablation(ctx: &ExperimentContext) -> Result<Vec<PredictorRow>, 
     );
     let holdout = shift_core::characterize(&holdout_engine, &holdout_dataset).samples;
 
-    let graph = ConfidenceGraph::build(train, paper_shift_config().graph_config());
+    let graph = ctx
+        .characterization()
+        .graph(paper_shift_config().graph_config());
     let passthrough = PassthroughPredictor::from_samples(train);
     let regression = RegressionPredictor::fit(train);
     let ensemble = EnsemblePredictor::new(vec![
-        Box::new(ConfidenceGraph::build(
-            train,
-            paper_shift_config().graph_config(),
-        )),
+        Box::new(ConfidenceGraph::clone(&graph)),
         Box::new(RegressionPredictor::fit(train)),
     ]);
 
@@ -84,7 +83,7 @@ pub fn predictor_ablation(ctx: &ExperimentContext) -> Result<Vec<PredictorRow>, 
             holdout_mae: prediction_mae(predictor, &holdout).unwrap_or(f64::NAN),
         });
     };
-    push("confidence-graph", &graph);
+    push("confidence-graph", &*graph);
     push("pairwise-regression", &regression);
     push("ensemble (graph+regression)", &ensemble);
     push("confidence-passthrough", &passthrough);

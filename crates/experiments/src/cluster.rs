@@ -23,7 +23,7 @@ use crate::fleet::roster;
 use crate::{ExperimentContext, ExperimentError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use shift_core::cluster::{ClusterBuilder, ClusterPolicy, ClusterSessionId};
+use shift_core::cluster::{ClusterBuilder, ClusterPolicy, ClusterScheduler, ClusterSessionId};
 use shift_core::service::{AttachRequest, DeadlineClass};
 use shift_core::{Characterization, ShiftConfig};
 use shift_metrics::{cluster_capacity_to_csv, ClusterCapacityRow, Table};
@@ -164,10 +164,24 @@ pub fn node_classes(size: usize) -> Vec<DeviceClass> {
 
 /// Per-class characterizations over the context's validation dataset,
 /// computed once and shared by every cluster-size cell.
+///
+/// A class on the context's own platform (NX-class on the paper's) takes a
+/// clone of the context's characterization instead of characterizing that
+/// platform again: the zoo, response model and dataset are the context's
+/// too, so the result would be equal, and the clone shares the context's
+/// samples and confidence graphs.
 pub fn class_characterizations(ctx: &ExperimentContext) -> BTreeMap<DeviceClass, Characterization> {
     DeviceClass::ALL
         .iter()
-        .map(|&class| (class, ctx.characterize_on(class.platform())))
+        .map(|&class| {
+            let platform = class.platform();
+            let characterization = if platform == *ctx.platform() {
+                ctx.characterization().clone()
+            } else {
+                ctx.characterize_on(platform)
+            };
+            (class, characterization)
+        })
         .collect()
 }
 
@@ -193,25 +207,7 @@ pub fn run_size(
     characterizations: &BTreeMap<DeviceClass, Characterization>,
 ) -> Result<ClusterSizePoint, ExperimentError> {
     let classes = node_classes(size);
-    let mut builder = ClusterBuilder::new().policy(
-        ClusterPolicy::defaults().with_rebalance(options.rebalance_period, options.rebalance_gap),
-    );
-    for &class in &classes {
-        builder = builder.node(
-            class,
-            ctx.engine_on(class.platform()),
-            characterizations[&class].clone(),
-        );
-    }
-    let mut cluster = builder.build()?;
-    for entry in diurnal_trace(ctx, options) {
-        match entry.op {
-            ClusterTraceOp::Attach(request) => {
-                cluster.schedule_attach(entry.tick, *request);
-            }
-            ClusterTraceOp::Detach(id) => cluster.schedule_detach(entry.tick, id),
-        }
-    }
+    let mut cluster = scheduled_cluster(ctx, &classes, options, characterizations)?;
     let outcomes = cluster.run_until_idle()?;
     let latencies: Vec<f64> = outcomes.iter().map(|o| o.inner.outcome.latency_s).collect();
     let energy_j: f64 = outcomes.iter().map(|o| o.inner.outcome.energy_j).sum();
@@ -232,6 +228,36 @@ pub fn run_size(
         energy_j,
     );
     Ok(ClusterSizePoint { size, row })
+}
+
+/// A cluster of one node per entry of `classes`, each over its class's
+/// characterization, with the diurnal trace scheduled and nothing run yet.
+fn scheduled_cluster(
+    ctx: &ExperimentContext,
+    classes: &[DeviceClass],
+    options: &ClusterOptions,
+    characterizations: &BTreeMap<DeviceClass, Characterization>,
+) -> Result<ClusterScheduler, ExperimentError> {
+    let mut builder = ClusterBuilder::new().policy(
+        ClusterPolicy::defaults().with_rebalance(options.rebalance_period, options.rebalance_gap),
+    );
+    for &class in classes {
+        builder = builder.node(
+            class,
+            ctx.engine_on(class.platform()),
+            characterizations[&class].clone(),
+        );
+    }
+    let mut cluster = builder.build()?;
+    for entry in diurnal_trace(ctx, options) {
+        match entry.op {
+            ClusterTraceOp::Attach(request) => {
+                cluster.schedule_attach(entry.tick, *request);
+            }
+            ClusterTraceOp::Detach(id) => cluster.schedule_detach(entry.tick, id),
+        }
+    }
+    Ok(cluster)
 }
 
 /// The cluster artifact: the capacity table plus the `CLUSTER_capacity.csv`
@@ -317,6 +343,7 @@ pub fn generate(ctx: &ExperimentContext) -> Result<Table, ExperimentError> {
 mod tests {
     use super::*;
     use shift_metrics::CLUSTER_CSV_HEADER;
+    use std::sync::Arc;
 
     #[test]
     fn diurnal_trace_is_pure_and_tick_sorted() {
@@ -349,6 +376,55 @@ mod tests {
                 DeviceClass::NxClass,
             ]
         );
+    }
+
+    #[test]
+    fn the_contexts_platform_is_not_characterized_again() {
+        let ctx = ExperimentContext::quick(46);
+        let characterizations = class_characterizations(&ctx);
+        assert_eq!(characterizations.len(), DeviceClass::ALL.len());
+        for (&class, characterization) in &characterizations {
+            assert_eq!(*characterization, ctx.characterize_on(class.platform()));
+        }
+        let nx = &characterizations[&DeviceClass::NxClass];
+        assert!(
+            Arc::ptr_eq(&nx.samples, &ctx.characterization().samples),
+            "the NX-class entry is a clone of the context's characterization"
+        );
+    }
+
+    #[test]
+    fn every_node_of_a_class_runs_on_one_graph_across_cluster_sizes() {
+        // As `artifact` does, two sizes are built from one map of per-class
+        // characterizations; the NX-class entry is the context's own. The
+        // full trace lands streams on every class (the smoke trace leaves
+        // OAK-D-only nodes empty).
+        let ctx = ExperimentContext::quick(47);
+        let options = ClusterOptions::full();
+        let characterizations = class_characterizations(&ctx);
+        let paper = ShiftConfig::paper_defaults().graph_config();
+        let mut streams: BTreeMap<DeviceClass, usize> = BTreeMap::new();
+        for size in [4, 2] {
+            let classes = node_classes(size);
+            let mut cluster =
+                scheduled_cluster(&ctx, &classes, &options, &characterizations).unwrap();
+            cluster.run_until_idle().unwrap();
+            for (index, class) in classes.into_iter().enumerate() {
+                let shared = characterizations[&class].graph(paper);
+                let fleet = cluster.node(index).fleet();
+                for handle in fleet.handles() {
+                    let graph = fleet.stream(handle).agent().scheduler().graph();
+                    assert!(std::ptr::eq(graph, &*shared), "{class:?} node {index}");
+                    *streams.entry(class).or_default() += 1;
+                }
+            }
+        }
+        assert_eq!(streams.len(), DeviceClass::ALL.len(), "{streams:?}");
+        assert!(streams.values().all(|&n| n >= 2), "{streams:?}");
+        assert!(Arc::ptr_eq(
+            &characterizations[&DeviceClass::NxClass].graph(paper),
+            &ctx.characterization().graph(paper)
+        ));
     }
 
     #[test]
