@@ -236,9 +236,12 @@ struct AdmittedFrame {
 struct StreamState {
     name: String,
     agent: StreamAgent,
-    /// The scenario being played; `None` for a slot whose caller supplies
-    /// every frame (the single-stream runtime's).
+    /// The scenario being played, rendered one frame per step through
+    /// [`FrameStream::frame_at`] (see [`FleetRuntime`]); `None` for a slot
+    /// whose caller supplies every frame (the single-stream runtime's).
     stream: Option<FrameStream>,
+    /// Index of the scenario frame after `next_frame`.
+    next_index: usize,
     next_frame: Option<Box<Frame>>,
     /// Virtual time at which the stream's next frame is submitted (the
     /// completion time of its previous frame).
@@ -259,6 +262,13 @@ struct StreamState {
 /// characterization, or from its clones, with one [`GraphConfig`] share one
 /// graph by [`Arc`](std::sync::Arc), however and whenever they were
 /// attached.
+///
+/// The fleet renders each stream's frames one per step, through
+/// [`FrameStream::frame_at`], where [`FrameStream`]'s iterator renders
+/// blocks of eight whose consecutive pairs share one lane pass of the
+/// whole-frame NCC. Streams take turns, so a block would sit in memory
+/// until its stream came round eight times and its pixels would leave the
+/// cache first; a fleet's frames take the serial NCC.
 ///
 /// [`GraphConfig`]: crate::graph::GraphConfig
 ///
@@ -381,9 +391,15 @@ impl FleetRuntime {
         }
         // A resumed stream (live migration) starts mid-scenario, past the
         // frames its previous incarnation already played.
-        let stream = spec.scenario.stream_from(spec.start_frame);
+        let stream = spec.scenario.stream();
         let total_frames = spec.scenario.num_frames().saturating_sub(spec.start_frame);
-        Ok(self.push_slot(spec.name, agent, Some(stream), total_frames))
+        Ok(self.push_slot(
+            spec.name,
+            agent,
+            Some(stream),
+            spec.start_frame,
+            total_frames,
+        ))
     }
 
     /// Attaches a slot with no scenario of its own: its caller supplies every
@@ -398,7 +414,7 @@ impl FleetRuntime {
     ) -> Result<StreamHandle, ShiftError> {
         let mut agent = StreamAgent::new(characterization, config)?;
         self.preload(&mut agent)?;
-        Ok(self.push_slot(String::new(), agent, None, 0))
+        Ok(self.push_slot(String::new(), agent, None, 0, 0))
     }
 
     /// Makes `agent`'s initial pair resident without evicting a model a peer
@@ -419,12 +435,16 @@ impl FleetRuntime {
         &mut self,
         name: String,
         agent: StreamAgent,
-        mut stream: Option<FrameStream>,
+        stream: Option<FrameStream>,
+        start_frame: usize,
         total_frames: usize,
     ) -> StreamHandle {
         let initial = agent.current_pair();
         self.arbiter.pin(initial.model, initial.accelerator);
-        let next_frame = stream.as_mut().and_then(Iterator::next).map(Box::new);
+        let next_frame = stream
+            .as_ref()
+            .and_then(|stream| stream.frame_at(start_frame))
+            .map(Box::new);
         let index = self.streams.len();
         if next_frame.is_some() {
             // The new slot has the highest index, so the ready set stays
@@ -436,6 +456,7 @@ impl FleetRuntime {
             name,
             agent,
             stream,
+            next_index: start_frame.saturating_add(1),
             next_frame,
             clock_s,
             processed: 0,
@@ -621,7 +642,12 @@ impl FleetRuntime {
             }
         };
         let state = &mut self.streams[index];
-        state.next_frame = state.stream.as_mut().and_then(Iterator::next).map(Box::new);
+        state.next_frame = state
+            .stream
+            .as_ref()
+            .and_then(|stream| stream.frame_at(state.next_index))
+            .map(Box::new);
+        state.next_index += 1;
         if state.next_frame.is_none() {
             let slot = self
                 .ready

@@ -9,6 +9,7 @@
 //! changes — this is what makes the scheduler's NCC gate meaningful.
 
 use crate::bbox::BoundingBox;
+use crate::block::BlockLink;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -24,10 +25,17 @@ use std::sync::{Arc, OnceLock};
 /// Keeping those bits is what keeps every consumer bit-identical to the
 /// historical three-sum formulation, with each statistic computed once per
 /// image instead of once per correlation.
+///
+/// A frame that a [`FrameStream`](crate::FrameStream) rendered in a block
+/// also names its block's shared record here, which holds the whole-frame
+/// NCC of the block's consecutive pairs once a correlation asks for one of
+/// them (see [`crate::block`]). A mutation replaces or clears every cell,
+/// the block's name included, so only unchanged pixels are ever linked.
 #[derive(Debug, Default)]
 struct Moments {
     mean: OnceLock<f64>,
     centered_norm: OnceLock<f64>,
+    block: OnceLock<BlockLink>,
 }
 
 /// Where every pixel sum starts: `-0.0`, the neutral element `f64`'s `Sum`
@@ -116,9 +124,11 @@ pub struct GrayImage {
     width: usize,
     height: usize,
     data: Arc<Vec<f32>>,
-    /// Lazy moment cache, shared with clones of this image. A mutation
-    /// replaces (or clears) both cells, so stale moments can never leak
-    /// across copy-on-write boundaries.
+    /// Lazy moment cache, shared with clones of this image: the mean, the
+    /// centered norm and, for a frame a stream rendered in a block, the
+    /// block's record. A mutation replaces (or clears) every cell, so stale
+    /// moments and stale block results can never leak across copy-on-write
+    /// boundaries.
     moments: Arc<Moments>,
 }
 
@@ -201,8 +211,11 @@ impl GrayImage {
     }
 
     /// Mutable access to the pixel buffer: unshares it (copy-on-write) and
-    /// invalidates both moment cells, since the caller is about to change
-    /// pixel values.
+    /// invalidates every moment cell, since the caller is about to change
+    /// pixel values. A buffer that a block record references weakly moves to
+    /// a new allocation here (`Arc::make_mut` disassociates weak
+    /// references), so the record can no longer mistake it for the pixels it
+    /// linked.
     pub(crate) fn pixels_mut(&mut self) -> &mut [f32] {
         match Arc::get_mut(&mut self.moments) {
             // Uniquely owned cache: clearing in place avoids an allocation
@@ -262,6 +275,22 @@ impl GrayImage {
     /// left-to-right, as [`centered_norm`](Self::centered_norm) builds it.
     pub(crate) fn store_centered_norm(&self, norm: f64) -> f64 {
         *self.moments.centered_norm.get_or_init(|| norm)
+    }
+
+    /// The shared pixel buffer, whose address identifies these pixels for
+    /// as long as a block record holds a weak reference to it.
+    pub(crate) fn buffer(&self) -> &Arc<Vec<f32>> {
+        &self.data
+    }
+
+    /// The block record this image was linked into, if any.
+    pub(crate) fn block_link(&self) -> Option<&BlockLink> {
+        self.moments.block.get()
+    }
+
+    /// Links this image into a block record, unless it is linked already.
+    pub(crate) fn set_block_link(&self, link: BlockLink) {
+        let _ = self.moments.block.set(link);
     }
 
     /// Population variance of the pixel intensities.
@@ -399,8 +428,9 @@ pub fn render_kernel() -> &'static str {
 }
 
 /// Whether this host has the AVX-512 subsets [`FramePlan::paint_avx512`]
-/// is compiled for. The standard library caches the detection.
-fn has_avx512() -> bool {
+/// and the block NCC's AVX-512 copy are compiled for. The standard library
+/// caches the detection.
+pub(crate) fn has_avx512() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         is_x86_feature_detected!("avx512f")
@@ -541,12 +571,14 @@ impl FramePlan {
 /// fixed per frame, so [`render_frame`] draws it onto each row right after
 /// rendering that row's background.
 struct Target {
-    cx: f64,
     cy: f64,
-    half_w: f64,
     half_h: f64,
     delta: f32,
     columns: Range<usize>,
+    /// Each column's normalized distance from the centre,
+    /// `|x + 0.5 − cx| / half_w`, for the columns in `columns`: the same
+    /// expression the per-pixel pass evaluated, once per frame.
+    dx: Vec<f64>,
     rows: Range<usize>,
 }
 
@@ -564,14 +596,18 @@ impl Target {
             return None;
         }
         let (cx, cy) = clamped.center();
+        let half_w = (clamped.w / 2.0).max(0.5);
+        let columns =
+            clamped.x.floor().max(0.0) as usize..(clamped.right().ceil() as usize).min(width);
         Some(Self {
-            cx,
             cy,
-            half_w: (clamped.w / 2.0).max(0.5),
             half_h: (clamped.h / 2.0).max(0.5),
             delta: (0.25 + 0.6 * appearance.contrast) as f32,
-            columns: clamped.x.floor().max(0.0) as usize
-                ..(clamped.right().ceil() as usize).min(width),
+            dx: columns
+                .clone()
+                .map(|x| (x as f64 + 0.5 - cx).abs() / half_w)
+                .collect(),
+            columns,
             rows: clamped.y.floor().max(0.0) as usize
                 ..(clamped.bottom().ceil() as usize).min(height),
         })
@@ -586,13 +622,18 @@ impl Target {
             return;
         }
         let dy = (y as f64 + 0.5 - self.cy).abs() / self.half_h;
-        for x in self.columns.clone() {
-            let dx = (x as f64 + 0.5 - self.cx).abs() / self.half_w;
+        // A row past the blob draws nothing. The pixel test below still
+        // checks both distances, so the drawn pixels are the per-pixel
+        // pass's for any `dy`.
+        if dy > 1.0 {
+            return;
+        }
+        for (px, &dx) in row[self.columns.clone()].iter_mut().zip(&self.dx) {
             // Cross/rotor shape: bright body along both axes, dimmer corners.
             let body = if dx < 0.35 || dy < 0.35 { 1.0 } else { 0.55 };
             if dx <= 1.0 && dy <= 1.0 {
                 let falloff = (1.0 - (dx.max(dy)).powi(2)) as f32;
-                row[x] = (row[x] - self.delta * body as f32 * falloff).clamp(0.0, 1.0);
+                *px = (*px - self.delta * body as f32 * falloff).clamp(0.0, 1.0);
             }
         }
     }

@@ -32,6 +32,7 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod bbox;
+mod block;
 pub mod context;
 pub mod dataset;
 pub mod generator;

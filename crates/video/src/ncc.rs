@@ -25,6 +25,7 @@
 //! is why the debug assertion exists to catch the bug early.
 
 use crate::bbox::BoundingBox;
+use crate::block;
 use crate::image::GrayImage;
 use crate::VideoError;
 
@@ -53,6 +54,14 @@ pub const REGION_NCC_SIZE: usize = 16;
 /// is deliberately *not* rewritten as `dot(p, c) − n·mean(p)·mean(c)`,
 /// which rounds differently).
 ///
+/// Consecutive frames of one [`FrameStream`](crate::FrameStream) block
+/// skip that loop. When `c`'s block record names `p`'s pixel buffer as
+/// `c`'s predecessor, the first such call runs every consecutive pair of
+/// the block in one pass, one pair per f64 lane, with the same operand
+/// order per lane; this and every later pair of the block read their cross
+/// term and `c`'s norm from the record, which is stored on `c` like any
+/// other norm. Any other pair runs the loop above.
+///
 /// # Errors
 ///
 /// Returns [`VideoError::DimensionMismatch`] when the images have different
@@ -73,6 +82,26 @@ pub fn ncc(p: &GrayImage, c: &GrayImage) -> Result<f64, VideoError> {
             rhs: (c.width(), c.height()),
         });
     }
+    let (num, dp, dc) = match block::linked_sums(p, c) {
+        Some((num, dc)) => (num, p.centered_norm(), c.store_centered_norm(dc)),
+        None => serial_sums(p, c),
+    };
+    const EPS: f64 = 1e-12;
+    if dp < EPS && dc < EPS {
+        return Ok(1.0);
+    }
+    if dp < EPS || dc < EPS {
+        return Ok(0.0);
+    }
+    Ok((num / (dp.sqrt() * dc.sqrt())).clamp(-1.0, 1.0))
+}
+
+/// The cross term and both centered norms of an unlinked pair: one
+/// [`centered_sums`] loop that also computes each norm not cached yet, and
+/// stores it.
+fn serial_sums(p: &GrayImage, c: &GrayImage) -> (f64, f64, f64) {
+    #[cfg(test)]
+    block::count::SERIAL.with(|n| n.set(n.get() + 1));
     let (p_pixels, mp) = (p.pixels(), p.mean());
     let (c_pixels, mc) = (c.pixels(), c.mean());
     let cached = (p.cached_centered_norm(), c.cached_centered_norm());
@@ -84,14 +113,7 @@ pub fn ncc(p: &GrayImage, c: &GrayImage) -> Result<f64, VideoError> {
     };
     let dp = cached.0.unwrap_or_else(|| p.store_centered_norm(dp));
     let dc = cached.1.unwrap_or_else(|| c.store_centered_norm(dc));
-    const EPS: f64 = 1e-12;
-    if dp < EPS && dc < EPS {
-        return Ok(1.0);
-    }
-    if dp < EPS || dc < EPS {
-        return Ok(0.0);
-    }
-    Ok((num / (dp.sqrt() * dc.sqrt())).clamp(-1.0, 1.0))
+    (num, dp, dc)
 }
 
 /// One left-to-right pass over both images: the cross term

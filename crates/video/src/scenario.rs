@@ -341,14 +341,17 @@ impl Scenario {
         }
     }
 
-    /// An iterator over the rendered frames of the scenario.
+    /// An iterator over the rendered frames of the scenario. It renders
+    /// eight frames at a time and links them, so that the whole-frame NCC of
+    /// consecutive frames runs eight pairs per pass (see [`FrameStream`]);
+    /// [`FrameStream::frame_at`] renders one frame, linked to nothing.
     pub fn stream(&self) -> FrameStream {
         FrameStream::new(self.clone())
     }
 
-    /// An iterator over the rendered frames from index `start` on. The
-    /// frames before `start` are never rendered; past the last frame the
-    /// stream is empty.
+    /// An iterator over the rendered frames from index `start` on, in
+    /// blocks of eight like [`stream`](Self::stream)'s. The frames before
+    /// `start` are never rendered; past the last frame the stream is empty.
     pub fn stream_from(&self, start: usize) -> FrameStream {
         FrameStream::starting_at(self.clone(), start)
     }

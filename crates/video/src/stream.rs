@@ -1,10 +1,12 @@
 //! Frame streams: the iterator interface every runtime consumes.
 
 use crate::bbox::BoundingBox;
+use crate::block::{self, Member, BLOCK_LEN};
 use crate::context::FrameContext;
 use crate::image::{render_frame, GrayImage};
 use crate::scenario::Scenario;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// A single frame of a scenario: pixels, ground truth and latent context.
 ///
@@ -39,6 +41,17 @@ impl Frame {
 /// The iterator is deterministic: two streams created from equal scenarios
 /// yield identical frames.
 ///
+/// It renders its frames in blocks of eight and links each block, together
+/// with the previous block's last frame when the block continues it, into
+/// one shared record. When a correlation first asks for the whole-frame
+/// [`ncc`](crate::ncc()) of two consecutive frames of a block, every
+/// consecutive pair of the block is correlated in one pass, one pair per
+/// f64 lane, and the block's later pairs are answered from the record with
+/// the same bits. The record holds the frames' pixel buffers weakly, so it
+/// keeps no pixels alive, and it does nothing until a correlation asks. A
+/// clone of the stream yields frames linked to the same records.
+/// [`frame_at`](Self::frame_at) renders a single frame, linked to nothing.
+///
 /// ```
 /// use shift_video::Scenario;
 ///
@@ -51,7 +64,14 @@ impl Frame {
 #[derive(Debug, Clone)]
 pub struct FrameStream {
     scenario: Scenario,
+    /// Index of the next frame the iterator yields.
     next_index: usize,
+    /// The rendered frames from `next_index` on: what is left of the
+    /// latest block.
+    ahead: VecDeque<Frame>,
+    /// The latest block's last frame and its index: the predecessor of the
+    /// next block when that block starts right after it.
+    last: Option<(usize, Member)>,
 }
 
 impl FrameStream {
@@ -65,6 +85,8 @@ impl FrameStream {
         Self {
             scenario,
             next_index: start,
+            ahead: VecDeque::new(),
+            last: None,
         }
     }
 
@@ -73,49 +95,88 @@ impl FrameStream {
         &self.scenario
     }
 
-    /// Renders the frame at `index` without advancing the iterator.
+    /// Renders the frame at `index` without advancing the iterator. The
+    /// frame is linked to no block, so its correlations take the serial
+    /// path.
     pub fn frame_at(&self, index: usize) -> Option<Frame> {
-        if index >= self.scenario.num_frames() {
-            return None;
-        }
-        let context = self.scenario.context_at(index);
-        let truth = self.scenario.truth_at(index);
-        let appearance = self.scenario.appearance_at(index);
-        let seed = self
-            .scenario
-            .seed()
-            .wrapping_mul(0x1000_0000_01B3)
-            .wrapping_add(index as u64);
-        let image = render_frame(
-            self.scenario.frame_width(),
-            self.scenario.frame_height(),
-            &appearance,
-            truth.as_ref(),
-            seed,
-        );
-        Some(Frame {
-            index,
-            image,
-            truth,
-            context,
-        })
+        render(&self.scenario, index)
     }
+
+    /// Renders the block that starts at `next_index` and links it.
+    fn render_block(&mut self) {
+        let start = self.next_index;
+        let end = self
+            .scenario
+            .num_frames()
+            .min(start.saturating_add(BLOCK_LEN));
+        let scenario = &self.scenario;
+        self.ahead
+            .extend((start..end).filter_map(|index| render(scenario, index)));
+        let Some(newest) = self.ahead.back() else {
+            return;
+        };
+        let previous = self
+            .last
+            .take()
+            .filter(|(index, _)| index + 1 == start)
+            .map(|(_, member)| member);
+        block::link(previous, self.ahead.iter().map(|frame| &frame.image));
+        self.last = Some((newest.index, Member::of(&newest.image)));
+    }
+}
+
+/// Renders `scenario`'s frame `index`, or `None` past its last frame.
+fn render(scenario: &Scenario, index: usize) -> Option<Frame> {
+    if index >= scenario.num_frames() {
+        return None;
+    }
+    let context = scenario.context_at(index);
+    let truth = scenario.truth_at(index);
+    let appearance = scenario.appearance_at(index);
+    let seed = scenario
+        .seed()
+        .wrapping_mul(0x1000_0000_01B3)
+        .wrapping_add(index as u64);
+    let image = render_frame(
+        scenario.frame_width(),
+        scenario.frame_height(),
+        &appearance,
+        truth.as_ref(),
+        seed,
+    );
+    Some(Frame {
+        index,
+        image,
+        truth,
+        context,
+    })
 }
 
 impl Iterator for FrameStream {
     type Item = Frame;
 
     fn next(&mut self) -> Option<Frame> {
-        let frame = self.frame_at(self.next_index)?;
+        if self.ahead.is_empty() {
+            self.render_block();
+        }
+        let frame = self.ahead.pop_front()?;
         self.next_index += 1;
         Some(frame)
     }
 
-    /// Skips `n` frames without rendering them: a frame is a pure function
-    /// of its index, so only the one returned is rendered. `skip` goes
-    /// through here too.
+    /// Skips `n` frames. Skipped frames of the current block were rendered
+    /// with it and are dropped. Frames past the block are never rendered,
+    /// since a frame is a pure function of its index: the returned frame
+    /// then starts a new block of eight, so up to seven frames after it are
+    /// rendered too. `skip` goes through here too.
     fn nth(&mut self, n: usize) -> Option<Frame> {
-        self.next_index = self.next_index.saturating_add(n);
+        if n < self.ahead.len() {
+            self.ahead.drain(..n);
+            self.next_index += n;
+        } else {
+            self.ahead.clear();
+            self.next_index = self.next_index.saturating_add(n);
+        }
         self.next()
     }
 

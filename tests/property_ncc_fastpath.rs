@@ -1,10 +1,12 @@
 //! Fast-path vs reference differential properties.
 //!
 //! The hot-path speed campaign (cached-moment NCC with the missing centered
-//! norms fused into the cross-term loop, the renderer's row-wise target pass
-//! and the frame mean it seeds, the mean's lane sum that re-associates only
-//! when every partial sum is exact, the fused zero-alloc region scratch and
-//! the dominance-pruned scheduler arg-max) promises *bit-identical*
+//! norms fused into the cross-term loop, the whole-frame NCC of a stream
+//! block's consecutive pairs run one pair per lane, the renderer's row-wise
+//! target pass and the frame mean it seeds, the mean's lane sum that
+//! re-associates only when every partial sum is exact, the fused zero-alloc
+//! region scratch and the dominance-pruned scheduler arg-max) promises
+//! *bit-identical*
 //! outputs, not approximately-equal ones — the committed stress and chaos
 //! artifacts depend on it. This suite keeps the historical implementations
 //! alive as private references and asserts `f64::to_bits` equality against
@@ -16,13 +18,16 @@
 use proptest::prelude::*;
 use shift_core::{
     characterize, CandidatePair, Characterization, ConfidenceGraph, Scheduler, ShiftConfig,
+    ShiftRuntime,
 };
 use shift_models::{ModelId, ModelZoo, ResponseModel};
 use shift_soc::{AcceleratorId, ExecutionEngine, Platform};
 use shift_video::image::{render_frame, SceneAppearance};
 use shift_video::ncc::REGION_NCC_SIZE;
 use shift_video::{
-    ncc, ncc_regions, BoundingBox, CharacterizationDataset, GrayImage, RegionNcc, VideoError,
+    ncc, ncc_regions, BoundingBox, CharacterizationDataset, Difficulty, Environment, GrayImage,
+    RegionNcc, Scenario, ScenarioGenerator, ScenarioSpec, TrajectoryFamily, VideoError,
+    WeatherRegime,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::OnceLock;
@@ -241,6 +246,47 @@ fn image_from_pool(width: usize, height: usize, pool: &[f64]) -> GrayImage {
     })
 }
 
+/// Frame sizes for the stream properties: a single pixel, and pixel counts
+/// on both sides of a multiple of eight.
+const STREAM_SIZES: [(usize, usize); 5] = [(1, 1), (3, 5), (17, 9), (64, 64), (65, 63)];
+
+/// A generated scenario cut to `frames` frames of `STREAM_SIZES[size]`.
+fn generated_scenario(seed: u64, spec: usize, size: usize, frames: usize) -> Scenario {
+    let families = [
+        TrajectoryFamily::Approach,
+        TrajectoryFamily::Orbit,
+        TrajectoryFamily::FlyThrough,
+    ];
+    let weathers = [
+        WeatherRegime::Clear,
+        WeatherRegime::Overcast,
+        WeatherRegime::Fog,
+        WeatherRegime::Dusk,
+    ];
+    let spec = ScenarioSpec::new(
+        format!("ncc-stream-{spec}"),
+        [Environment::Indoor, Environment::Outdoor][spec % 2],
+        families[spec / 2 % families.len()],
+        weathers[spec / 6 % weathers.len()],
+        Difficulty::ALL[spec / 24 % Difficulty::ALL.len()],
+    );
+    let (width, height) = STREAM_SIZES[size];
+    ScenarioGenerator::new(seed)
+        .generate(&spec, seed % 7)
+        .with_frame_size(width, height)
+        .with_num_frames(frames)
+}
+
+fn shift_runtime() -> ShiftRuntime {
+    let engine = ExecutionEngine::new(
+        Platform::xavier_nx_with_oak(),
+        ModelZoo::standard(),
+        ResponseModel::new(17),
+    );
+    ShiftRuntime::new(engine, characterization(), ShiftConfig::paper_defaults())
+        .expect("runtime builds")
+}
+
 fn characterization() -> &'static Characterization {
     static CACHE: OnceLock<Characterization> = OnceLock::new();
     CACHE.get_or_init(|| {
@@ -317,6 +363,62 @@ proptest! {
         let expected = reference_ncc(&solo, &solo).unwrap().to_bits();
         prop_assert_eq!(ncc(&solo, &solo).unwrap().to_bits(), expected);
         prop_assert_eq!(ncc(&solo, &solo).unwrap().to_bits(), expected);
+    }
+
+    /// A stream renders blocks of eight frames, and the first correlation of
+    /// two consecutive frames of a block runs every pair of the block in
+    /// one lane pass. Every pair of frames the stream yields, one after the
+    /// other, gives the historical three-pass NCC bit for bit: consecutive
+    /// pairs from the pass, and the pairs an `nth` skip leaves apart from
+    /// the serial loop. The streams start anywhere (past the end too), skip
+    /// inside and across blocks, and may be shorter than one block, on
+    /// frame sizes whose pixel counts are and are not multiples of eight.
+    #[test]
+    fn stream_pairs_are_bit_identical_to_three_pass(
+        scenario in (0u64..1_000, 0usize..96, 0usize..STREAM_SIZES.len(), 1usize..40),
+        start in 0usize..44,
+        steps in proptest::collection::vec(0usize..20, 1..40),
+    ) {
+        let (seed, spec, size, frames) = scenario;
+        let scenario = generated_scenario(seed, spec, size, frames);
+        // Mostly inside the scenario, sometimes past its end.
+        let mut stream = scenario.stream_from(start % (frames + 4));
+        let mut previous: Option<(usize, GrayImage)> = None;
+        for step in steps {
+            // Half the steps are `next`, half skip 0 to 9 frames: inside the
+            // rendered block or past it.
+            let next = match step.checked_sub(10) {
+                Some(skip) => stream.nth(skip),
+                None => stream.next(),
+            };
+            let Some(frame) = next else { break };
+            if let Some((index, p)) = &previous {
+                let fast = ncc(p, &frame.image).expect("one size");
+                let reference = reference_ncc(p, &frame.image).expect("one size");
+                prop_assert_eq!(fast.to_bits(), reference.to_bits(),
+                    "frames {} and {} of {}: fast {} != reference {}",
+                    index, frame.index, frames, fast, reference);
+            }
+            previous = Some((frame.index, frame.image));
+        }
+    }
+
+    /// `ShiftRuntime::run` over a stream's linked blocks produces the same
+    /// outcomes as over the same frames rendered one at a time through
+    /// `frame_at`, which are linked to nothing and take the serial NCC.
+    #[test]
+    fn shift_runtime_over_linked_blocks_matches_frames_rendered_one_by_one(
+        scenario in (0u64..1_000, 0usize..96, 0usize..STREAM_SIZES.len(), 1usize..40),
+        start in 0usize..44,
+    ) {
+        let (seed, spec, size, frames) = scenario;
+        let scenario = generated_scenario(seed, spec, size, frames);
+        let linked = shift_runtime().run(scenario.stream_from(start)).expect("runs");
+        let stream = scenario.stream();
+        let one_by_one = (start..frames).filter_map(|i| stream.frame_at(i));
+        let single = shift_runtime().run(one_by_one).expect("runs");
+        prop_assert_eq!(linked.len(), frames.saturating_sub(start));
+        prop_assert_eq!(linked, single);
     }
 
     /// `render_frame` draws the target row by row, right after each row's
