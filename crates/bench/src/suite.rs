@@ -16,8 +16,8 @@
 //! | `ncc/region` | the bbox-crop NCC through the reusable region scratch |
 //! | `similarity/frame` | the stateless full-frame + crop similarity helper, on the same unlinked frames |
 //! | `loader/lru_churn` | an LRU load + eviction cycle under memory pressure |
-//! | `fleet/step` | one shared-SoC fleet scheduling step (3 streams); `ShiftRuntime::process_frame` runs this loop on a one-slot fleet, so the row also covers the whole-frame cost behind the "< 2 ms" claim |
-//! | `fleet/step_adversarial` | the same step over the worst-case fleet: the minimized hunt-corpus scenarios under a scripted fault plan |
+//! | `fleet/step` | one shared-SoC fleet scheduling step (3 streams); `ShiftRuntime::process_frame` runs this loop on a one-slot fleet, so the row also covers the whole-frame cost behind the "< 2 ms" claim. Three streams never have the four pending frame pairs a lane pass needs, so every whole-frame NCC here takes the serial loop |
+//! | `fleet/step_adversarial` | the same step over the worst-case fleet: the minimized hunt-corpus scenarios under a scripted fault plan. The committed corpus gives five streams of one frame size, which link their pending pairs into lane passes; the three-stream synthetic stand-in takes the serial loop |
 
 use shift_core::fleet::{FleetBuilder, StreamSpec};
 use shift_core::{

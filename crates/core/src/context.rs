@@ -50,9 +50,12 @@ impl ContextDetector {
     /// Similarity between the remembered state and (`frame`, `bbox`):
     /// `min(NCC(last image, image), NCC(last bbox crop, bbox crop))`.
     ///
-    /// Returns `0.0` when there is no history yet (first frame) or when
-    /// either the previous or current detection is missing — both situations
-    /// should trigger a scheduling pass.
+    /// Returns `0.0` when there is no history yet (first frame). When either
+    /// the previous or the current detection is missing, the bounding-box
+    /// term is `0.0`, so the result is `min(NCC(last image, image), 0.0)`:
+    /// `0.0`, or the whole-frame NCC when that is negative (frames that
+    /// anti-correlate). Either way the similarity gate fails and a
+    /// scheduling pass runs.
     ///
     /// # Panics
     ///
@@ -96,6 +99,12 @@ impl ContextDetector {
     pub fn update(&mut self, frame: &Frame, bbox: Option<&BoundingBox>) {
         self.last_image = Some(frame.image.clone());
         self.last_bbox = bbox.copied();
+    }
+
+    /// The remembered frame's image: the left-hand side of the whole-frame
+    /// NCC that [`similarity`](Self::similarity) computes next.
+    pub(crate) fn last_image(&self) -> Option<&GrayImage> {
+        self.last_image.as_ref()
     }
 
     /// Whether the detector has seen at least one frame.
@@ -168,6 +177,35 @@ mod tests {
         detector.update(&frames[0], frames[0].truth.as_ref());
         let s = detector.similarity(&frames[1], None);
         assert_eq!(s, 0.0, "no current detection -> bbox term is 0 -> min is 0");
+    }
+
+    #[test]
+    fn missing_detection_keeps_a_negative_whole_frame_ncc() {
+        // Without a detection the box term is 0, but the whole-frame term
+        // still counts: frames that anti-correlate give a negative
+        // similarity, not 0.
+        use shift_video::{ncc, FrameContext, GrayImage};
+        let frame = |index, image| Frame {
+            index,
+            image,
+            truth: None,
+            context: FrameContext::easy(),
+        };
+        let gradient = GrayImage::from_fn(16, 16, |x, y| (x + y) as f32 / 30.0);
+        let inverted = GrayImage::from_fn(16, 16, |x, y| 1.0 - gradient.get(x, y));
+        let expected = ncc(&gradient, &inverted).unwrap();
+        assert!(
+            expected < -0.99,
+            "inverted frames anti-correlate: {expected}"
+        );
+        let (previous, current) = (frame(0, gradient), frame(1, inverted));
+        let bbox = BoundingBox::from_center(8.0, 8.0, 4.0, 4.0);
+        for (last_bbox, bbox) in [(None, Some(&bbox)), (Some(&bbox), None), (None, None)] {
+            let mut detector = ContextDetector::new();
+            detector.update(&previous, last_bbox);
+            let s = detector.similarity(&current, bbox);
+            assert_eq!(s.to_bits(), expected.to_bits());
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ use shift_soc::{
     ExecutionEngine, FaultInjector, FaultPlan, InferenceReport, MemoryArbiter, OccupancyTracker,
     SocError,
 };
-use shift_video::{Frame, FrameStream, Scenario};
+use shift_video::{link_pairs, Frame, FrameStream, GrayImage, Scenario};
 
 /// Description of one stream joining a fleet: a scenario to play and the
 /// SHIFT configuration (including the per-stream accuracy goal) to play it
@@ -243,6 +243,9 @@ struct StreamState {
     /// Index of the scenario frame after `next_frame`.
     next_index: usize,
     next_frame: Option<Box<Frame>>,
+    /// Whether `next_frame` was linked, with the frame the detector
+    /// remembers, into a lane pass (see [`FleetRuntime::step`]).
+    linked: bool,
     /// Virtual time at which the stream's next frame is submitted (the
     /// completion time of its previous frame).
     clock_s: f64,
@@ -254,6 +257,31 @@ struct StreamState {
     detached: bool,
 }
 
+impl StreamState {
+    /// The frame pair the stream's next decision correlates: the frame its
+    /// context detector remembers and the pending frame. `None` before the
+    /// stream's first frame, when no frame is pending, when the two sizes
+    /// differ, and once the pair is linked.
+    fn pending_pair(&self) -> Option<(&GrayImage, &GrayImage)> {
+        let current = &self.next_frame.as_deref()?.image;
+        let previous = self.agent.previous_image()?;
+        let same_size =
+            (previous.width(), previous.height()) == (current.width(), current.height());
+        (!self.linked && same_size).then_some((previous, current))
+    }
+}
+
+/// The fewest pending frame pairs [`FleetRuntime::step`] links into one
+/// lane pass: the measured break-even of one pass against that many serial
+/// loops. A pass costs about the same for one pair as for eight, since every
+/// lane runs. On the 2-core AVX-512 host, n streams of 64×64 frames took
+/// turns, each turn rendering the stream's next frame and correlating it
+/// with the previous one; one pass over all n pending pairs, linked when the
+/// turn's pair was unlinked, took 1.88–1.89 times the serial loops' time at
+/// n = 2, 1.21–1.31 at n = 3, 0.97–1.28 at n = 4, 0.76–0.79 at n = 5 and
+/// 0.52–0.53 at n = 8, in three runs (serial loop 5.8–6.1 µs per pair).
+const MIN_LINKED_PAIRS: usize = 4;
+
 /// Drives N concurrent SHIFT streams against a single shared
 /// [`ExecutionEngine`].
 ///
@@ -264,11 +292,19 @@ struct StreamState {
 /// attached.
 ///
 /// The fleet renders each stream's frames one per step, through
-/// [`FrameStream::frame_at`], where [`FrameStream`]'s iterator renders
-/// blocks of eight whose consecutive pairs share one lane pass of the
-/// whole-frame NCC. Streams take turns, so a block would sit in memory
-/// until its stream came round eight times and its pixels would leave the
-/// cache first; a fleet's frames take the serial NCC.
+/// [`FrameStream::frame_at`]: streams take turns, so a block of eight
+/// frames from [`FrameStream`]'s iterator would sit in memory until its
+/// stream came round eight times, and its pixels would leave the cache
+/// first. Instead, every ready stream already holds one frame pair its next
+/// decision will correlate: the frame its context detector remembers and
+/// its pending frame. Before a stream's frame runs, [`step`](Self::step)
+/// links that stream's pair with the pairs of up to seven other ready
+/// streams next in admission order, when at least four are pending
+/// ([`link_pairs`]); the first of those correlations runs the whole-frame
+/// NCC of every linked pair in one pass, one pair per f64 lane, with the
+/// serial loop's bits, and the others read their results. Below four
+/// pending pairs the serial loop runs. [`linked_pairs`](Self::linked_pairs)
+/// and [`link_batches`](Self::link_batches) count that work.
 ///
 /// [`GraphConfig`]: crate::graph::GraphConfig
 ///
@@ -314,6 +350,10 @@ pub struct FleetRuntime {
     /// Per-stream scheduling examinations performed by admission so far —
     /// the step-count hook the O(active) regression test asserts on.
     stream_polls: u64,
+    /// Pending frame pairs linked into lane passes so far.
+    linked_pairs: u64,
+    /// Batches of pending pairs linked so far, one lane pass each.
+    link_batches: u64,
 }
 
 impl FleetRuntime {
@@ -361,6 +401,8 @@ impl FleetRuntime {
             steps: 0,
             ready: Vec::new(),
             stream_polls: 0,
+            linked_pairs: 0,
+            link_batches: 0,
         }
     }
 
@@ -458,6 +500,7 @@ impl FleetRuntime {
             stream,
             next_index: start_frame.saturating_add(1),
             next_frame,
+            linked: false,
             clock_s,
             processed: 0,
             total_frames,
@@ -524,6 +567,20 @@ impl FleetRuntime {
     /// timing anything.
     pub fn stream_polls(&self) -> u64 {
         self.stream_polls
+    }
+
+    /// Pending frame pairs linked into lane passes so far (see
+    /// [`step`](Self::step)): each one's whole-frame NCC ran in a lane of a
+    /// pass shared with other streams' pairs, unless its stream detached
+    /// first.
+    pub fn linked_pairs(&self) -> u64 {
+        self.linked_pairs
+    }
+
+    /// Batches of pending pairs linked so far, each correlated in one lane
+    /// pass.
+    pub fn link_batches(&self) -> u64 {
+        self.link_batches
     }
 
     /// The fault injector, when a plan is attached.
@@ -630,6 +687,7 @@ impl FleetRuntime {
         let Some(index) = self.select_stream() else {
             return Ok(None);
         };
+        self.link_pending_pairs(index);
         let frame = self.streams[index]
             .next_frame
             .take()
@@ -648,6 +706,7 @@ impl FleetRuntime {
             .and_then(|stream| stream.frame_at(state.next_index))
             .map(Box::new);
         state.next_index += 1;
+        state.linked = false;
         if state.next_frame.is_none() {
             let slot = self
                 .ready
@@ -701,6 +760,48 @@ impl FleetRuntime {
             .iter()
             .copied()
             .min_by_key(|&i| self.streams[i].processed)
+    }
+
+    /// Links `selected`'s pending pair with those of up to seven other
+    /// ready streams, the next in admission order (fewest frames processed,
+    /// then the lowest index), when at least [`MIN_LINKED_PAIRS`] pairs of
+    /// one frame size are pending. The first of their correlations then
+    /// runs all of them in one lane pass, and the others read their
+    /// results; no frame is rendered and no outcome changes.
+    fn link_pending_pairs(&mut self, selected: usize) {
+        let Some((_, current)) = self.streams[selected].pending_pair() else {
+            return;
+        };
+        let size = (current.width(), current.height());
+        let mut others: Vec<usize> = self
+            .ready
+            .iter()
+            .copied()
+            .filter(|&i| {
+                i != selected
+                    && self.streams[i]
+                        .pending_pair()
+                        .is_some_and(|(_, c)| (c.width(), c.height()) == size)
+            })
+            .collect();
+        if 1 + others.len() < MIN_LINKED_PAIRS {
+            return;
+        }
+        // The ready set is sorted and the sort is stable, so ties keep the
+        // lowest index first. `link_pairs` takes the first eight.
+        others.sort_by_key(|&i| self.streams[i].processed);
+        let batch = std::iter::once(selected).chain(others);
+        let pairs = batch.clone().map(|i| {
+            self.streams[i]
+                .pending_pair()
+                .expect("batched streams have a pending pair")
+        });
+        let linked = link_pairs(pairs);
+        for i in batch.take(linked) {
+            self.streams[i].linked = true;
+        }
+        self.linked_pairs += linked as u64;
+        self.link_batches += 1;
     }
 
     /// Runs `frame` on stream `index` through the three phases — admit,

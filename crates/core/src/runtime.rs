@@ -17,7 +17,7 @@ use crate::ShiftError;
 use serde::{Deserialize, Serialize};
 use shift_models::Detection;
 use shift_soc::{ExecutionEngine, FaultInjector, FaultPlan, InferenceReport};
-use shift_video::Frame;
+use shift_video::{Frame, GrayImage};
 use std::collections::BTreeSet;
 
 /// Everything that happened while processing one frame.
@@ -176,6 +176,12 @@ impl StreamAgent {
             std::mem::take(&mut self.pending_load_time_s),
             std::mem::take(&mut self.pending_load_energy_j),
         )
+    }
+
+    /// The previous frame's image, which [`decide`](Self::decide) correlates
+    /// with the next frame; `None` before the first frame.
+    pub(crate) fn previous_image(&self) -> Option<&GrayImage> {
+        self.detector.last_image()
     }
 
     /// Phase one of a frame: computes the context similarity against the

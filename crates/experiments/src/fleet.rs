@@ -239,6 +239,24 @@ mod tests {
     }
 
     #[test]
+    fn sixteen_streams_correlate_most_pending_pairs_in_lane_passes() {
+        // Work counts, not times: how many pending frame pairs the fleet
+        // linked into lane passes, and in how many passes. A stream's first
+        // frame has no pair, and the fleet's tail, when fewer than three
+        // streams are left, runs the serial loop.
+        let ctx = ExperimentContext::quick(25);
+        let mut fleet = FleetBuilder::new(ctx.engine(), ctx.characterization())
+            .streams(stream_specs(&ctx, 16))
+            .build()
+            .unwrap();
+        let frames = fleet.run_to_completion().unwrap().len();
+        assert_eq!(
+            (frames, fleet.linked_pairs(), fleet.link_batches()),
+            (1_696, 1_568, 208)
+        );
+    }
+
+    #[test]
     fn scaling_is_reproducible_from_the_seed() {
         let run = || {
             let ctx = ExperimentContext::quick(23);

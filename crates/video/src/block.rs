@@ -1,19 +1,28 @@
-//! Frame blocks: the whole-frame NCC of eight consecutive frame pairs in one
+//! Linked frame pairs: the whole-frame NCC of up to eight frame pairs in one
 //! pass, one pair per f64 lane.
 //!
 //! [`ncc`](crate::ncc())'s serial loop adds a pair's cross term and
 //! centered norm one pixel at a time: two chains of dependent f64 additions
 //! whose order bit-identity pins. The chains of *different* pairs are
-//! independent, though. A [`FrameStream`](crate::FrameStream) renders its
-//! frames in blocks of [`BLOCK_LEN`] and links each block, together with the
-//! previous block's last frame, into one shared [`BlockRecord`]. The first
-//! correlation that asks for one of the block's consecutive pairs runs every
-//! pair of the block at once: lane k carries pair k's cross term and the
-//! centered norm of its right-hand frame, and adds them in exactly the order
-//! of the serial loop, so every lane ends with the serial loop's bits. Later
-//! pairs of the block are answered from the record.
+//! independent, though. A [`BlockRecord`] holds up to [`BLOCK_LEN`]
+//! explicit (left, right) pairs, and each right-hand frame names the record
+//! and its pair. The first correlation that asks for one of the record's
+//! pairs runs all of them at once: lane k carries pair k's cross term and
+//! the centered norm of its right-hand frame, and adds them in exactly the
+//! order of the serial loop, so every lane ends with the serial loop's
+//! bits. Later pairs of the record are answered from it.
 //!
-//! Three rules keep the record cheap and correct:
+//! Two callers link pairs:
+//!
+//! - A [`FrameStream`](crate::FrameStream) renders its frames in blocks of
+//!   [`BLOCK_LEN`] and links each block's consecutive pairs, the first one
+//!   starting at the previous block's last frame when the block continues
+//!   it.
+//! - A fleet links the pending pairs of several streams, unrelated frames
+//!   whose only tie is that they are correlated soon, through
+//!   [`link_pairs`].
+//!
+//! Three rules keep a record cheap and correct:
 //!
 //! - It never keeps pixels alive: it holds `Weak` references to the pixel
 //!   buffers, plus the means the renderer cached. A pair whose buffer was
@@ -22,31 +31,31 @@
 //! - The pass runs only when a correlation asks for it: a stream that is
 //!   only rendered, like the characterization dataset's, never pays for it.
 //! - A pair counts as linked only when the right-hand frame's record names
-//!   the left-hand frame's own buffer as its predecessor. Any other pair,
+//!   the left-hand frame's own buffer as that pair's left. Any other pair,
 //!   and every frame rendered one at a time through
-//!   [`FrameStream::frame_at`](crate::FrameStream::frame_at), takes the
-//!   serial path.
+//!   [`FrameStream::frame_at`](crate::FrameStream::frame_at) and never
+//!   linked, takes the serial path.
 //!
-//! The pass has two compiled copies. The portable one is a per-lane loop.
-//! On a host with AVX-512 (the renderer's detection) a copy centers eight
-//! pixels of each frame, transposes them in registers so that one register
-//! holds one pixel of eight frames, and runs all eight chains in the lanes
-//! of one register. The lanes do the serial loop's operations in its order,
-//! and Rust never fuses a multiply and an add, so both copies give the same
-//! bits.
+//! The pass has a portable copy, a per-lane loop, and on a host with
+//! AVX-512 (the renderer's detection) two more. Both load eight pixels of
+//! each frame and transpose them in registers, so that one register holds
+//! one pixel of eight frames, and run all eight chains in the lanes of one
+//! register. Unrelated pairs transpose the left-hand and the right-hand
+//! frames separately. A chain, where each pair's left-hand frame is the
+//! previous pair's right-hand one as in a stream's block, loads each frame
+//! once and shifts the right-hand frames out of the left-hand ones. The
+//! lanes do the serial loop's operations in its order, and Rust never fuses
+//! a multiply and an add, so every copy gives the same bits.
 
 use crate::image::{has_avx512, GrayImage};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock, Weak};
 
-/// Frames a stream renders at a time, and the pairs one pass correlates: the
-/// f64 lanes of an AVX-512 register.
+/// The pairs one record holds and one pass correlates, the f64 lanes of an
+/// AVX-512 register; also the frames a stream renders at a time.
 pub(crate) const BLOCK_LEN: usize = 8;
 
-/// The most frames one record holds: a block and its predecessor.
-const MEMBERS: usize = BLOCK_LEN + 1;
-
-/// A frame as a block record knows it: its pixel buffer, held weakly so the
+/// A frame as a record knows it: its pixel buffer, held weakly so the
 /// record never keeps pixels alive, and its cached mean.
 #[derive(Debug, Clone)]
 pub(crate) struct Member {
@@ -67,68 +76,109 @@ impl Member {
 /// right-hand frame's centered norm `Σ (c − mean(c))²`.
 type PairSums = (f64, f64);
 
-/// The record a block's frames share.
+/// The record the right-hand frames of up to [`BLOCK_LEN`] pairs share.
 #[derive(Debug)]
 pub(crate) struct BlockRecord {
-    /// The frames in stream order: the previous block's last frame when the
-    /// block continues it, then the block's own. Pair k is
-    /// `(members[k], members[k + 1])`.
-    members: Vec<Member>,
+    /// The (left, right) pairs, every buffer of one length.
+    pairs: Vec<(Member, Member)>,
     /// Every pair's sums, filled by the first pass; `None` for a pair one of
     /// whose buffers was gone when the pass ran.
     sums: OnceLock<[Option<PairSums>; BLOCK_LEN]>,
 }
 
-/// A frame's place in its block's record: `slot` indexes the record's
-/// members, so the frame is the right-hand side of pair `slot − 1`.
+/// A right-hand frame's place in its record: the index of its pair.
 #[derive(Debug)]
 pub(crate) struct BlockLink {
     record: Arc<BlockRecord>,
-    slot: usize,
+    pair: usize,
 }
 
-/// Links `images`, consecutive frames rendered together, into one record,
-/// after `previous`, the frame just before them when the stream rendered it.
-pub(crate) fn link<'a>(
-    previous: Option<Member>,
-    images: impl Iterator<Item = &'a GrayImage> + Clone,
-) {
-    let offset = usize::from(previous.is_some());
-    let members: Vec<Member> = previous
-        .into_iter()
-        .chain(images.clone().map(Member::of))
-        .collect();
+/// Links the (left, right) `pairs` into one record. Every buffer must have
+/// the same length, and no right-hand frame may be linked already.
+pub(crate) fn link<'a>(pairs: impl IntoIterator<Item = (Member, &'a GrayImage)>) {
+    let (lefts, rights): (Vec<Member>, Vec<&GrayImage>) = pairs.into_iter().unzip();
+    if rights.is_empty() {
+        return;
+    }
     debug_assert!(
-        members.len() <= MEMBERS,
-        "a block links at most {MEMBERS} frames"
+        rights.len() <= BLOCK_LEN,
+        "a record links at most {BLOCK_LEN} pairs"
     );
     let record = Arc::new(BlockRecord {
-        members,
+        pairs: lefts
+            .into_iter()
+            .zip(rights.iter().map(|image| Member::of(image)))
+            .collect(),
         sums: OnceLock::new(),
     });
-    for (i, image) in images.enumerate() {
+    for (pair, image) in rights.into_iter().enumerate() {
         image.set_block_link(BlockLink {
             record: Arc::clone(&record),
-            slot: offset + i,
+            pair,
         });
     }
 }
 
-/// `(p, c)`'s sums from `c`'s block record, when the record names `p`'s
-/// pixel buffer as `c`'s predecessor; the first question to a record runs
+/// Links up to eight (previous, current) frame pairs into one record, so
+/// that the first [`ncc`](crate::ncc())`(previous, current)` asked of any
+/// of them correlates all of them in one pass, one pair per f64 lane, with
+/// the serial loop's bits; the others then read their results. Pairs are
+/// taken in order, skipping any whose two frames differ in size from each
+/// other or from the first pair taken, and any whose current frame is
+/// linked already (each frame is the current frame of at most one linked
+/// pair, so a current frame listed twice keeps its first pair). Returns the
+/// number of pairs taken into the record.
+///
+/// The record holds the pixel buffers weakly and keeps none of them alive;
+/// a pair whose frame was dropped or changed before the pass takes the
+/// serial loop, as does a correlation of the current frame with any frame
+/// but its linked previous one.
+///
+/// ```
+/// use shift_video::{link_pairs, ncc, GrayImage};
+///
+/// let frames: Vec<GrayImage> = (0..6)
+///     .map(|i| GrayImage::from_fn(8, 8, |x, y| ((x * y + i) % 7) as f32 / 7.0))
+///     .collect();
+/// let pairs = [(&frames[0], &frames[1]), (&frames[2], &frames[3]), (&frames[4], &frames[5])];
+/// assert_eq!(link_pairs(pairs), 3);
+/// // Linking again links nothing: each current frame is linked already.
+/// assert_eq!(link_pairs(pairs), 0);
+/// assert!(ncc(&frames[2], &frames[3])? < 1.0);
+/// # Ok::<(), shift_video::VideoError>(())
+/// ```
+pub fn link_pairs<'a>(pairs: impl IntoIterator<Item = (&'a GrayImage, &'a GrayImage)>) -> usize {
+    let mut shape = None;
+    let pairs: Vec<(Member, &GrayImage)> = pairs
+        .into_iter()
+        .filter(|(previous, current)| {
+            let dims = (current.width(), current.height());
+            current.block_link().is_none()
+                && (previous.width(), previous.height()) == dims
+                && *shape.get_or_insert(dims) == dims
+        })
+        .take(BLOCK_LEN)
+        .map(|(previous, current)| (Member::of(previous), current))
+        .collect();
+    let linked = pairs.len();
+    link(pairs);
+    linked
+}
+
+/// `(p, c)`'s sums from `c`'s record, when the record names `p`'s pixel
+/// buffer as the left of `c`'s pair; the first question to a record runs
 /// its pass. `None` sends the pair down the serial path.
 pub(crate) fn linked_sums(p: &GrayImage, c: &GrayImage) -> Option<PairSums> {
-    let BlockLink { record, slot } = c.block_link()?;
-    let pair = slot.checked_sub(1)?;
-    // The record's weak reference keeps the predecessor's allocation from
+    let BlockLink { record, pair } = c.block_link()?;
+    // The record's weak reference keeps the left buffer's allocation from
     // being reused, so an equal address is the same buffer.
     if !std::ptr::eq(
-        record.members[pair].pixels.as_ptr(),
+        record.pairs[*pair].0.pixels.as_ptr(),
         Arc::as_ptr(p.buffer()),
     ) {
         return None;
     }
-    record.sums.get_or_init(|| record.pass())[pair]
+    record.sums.get_or_init(|| record.pass())[*pair]
 }
 
 impl BlockRecord {
@@ -136,30 +186,42 @@ impl BlockRecord {
     fn pass(&self) -> [Option<PairSums>; BLOCK_LEN] {
         #[cfg(test)]
         count::PASSES.with(|n| n.set(n.get() + 1));
-        let buffers: Vec<Option<Arc<Vec<f32>>>> =
-            self.members.iter().map(|m| m.pixels.upgrade()).collect();
+        let buffers: Vec<[Option<Arc<Vec<f32>>>; 2]> = self
+            .pairs
+            .iter()
+            .map(|(left, right)| [left.pixels.upgrade(), right.pixels.upgrade()])
+            .collect();
         let mut sums = [None; BLOCK_LEN];
         // The caller holds both frames of the pair it asked for, so at least
-        // one buffer is alive. Lanes without a pair run on it and are
-        // discarded.
-        let Some(filler) = buffers.iter().flatten().next() else {
+        // one buffer is alive. Rows without a live frame run on it, and
+        // their lanes are discarded.
+        let Some(filler) = buffers.iter().flatten().flatten().next() else {
             return sums;
         };
-        let mut rows = [filler.as_slice(); MEMBERS];
-        let mut means = [0.0; MEMBERS];
-        for ((row, mean), (buffer, member)) in rows
-            .iter_mut()
-            .zip(&mut means)
-            .zip(buffers.iter().zip(&self.members))
-        {
-            if let Some(buffer) = buffer {
-                *row = buffer;
-                *mean = member.mean;
+        let side = || Side {
+            rows: [filler.as_slice(); BLOCK_LEN],
+            means: [0.0; BLOCK_LEN],
+        };
+        let (mut left, mut right) = (side(), side());
+        for (k, (buffers, members)) in buffers.iter().zip(&self.pairs).enumerate() {
+            for (side, (buffer, member)) in [&mut left, &mut right]
+                .into_iter()
+                .zip(buffers.iter().zip([&members.0, &members.1]))
+            {
+                if let Some(buffer) = buffer {
+                    (side.rows[k], side.means[k]) = (buffer, member.mean);
+                }
             }
         }
-        let lanes = lane_sums(&rows, &means);
-        for (k, pair) in buffers.windows(2).enumerate() {
-            if pair[0].is_some() && pair[1].is_some() {
+        // A stream's block is a chain: each pair's left-hand frame is the
+        // previous pair's right-hand one.
+        let chain = self
+            .pairs
+            .windows(2)
+            .all(|w| Weak::ptr_eq(&w[0].1.pixels, &w[1].0.pixels));
+        let lanes = lane_sums(&left, &right, chain);
+        for (k, [l, r]) in buffers.iter().enumerate() {
+            if l.is_some() && r.is_some() {
                 sums[k] = Some((lanes.num[k], lanes.norm[k]));
             }
         }
@@ -167,7 +229,14 @@ impl BlockRecord {
     }
 }
 
-/// Each lane's running sums: lane k is pair `(rows[k], rows[k + 1])`.
+/// One side of every lane's pair: lane k's frame's pixels and its mean.
+#[derive(Debug)]
+struct Side<'a> {
+    rows: [&'a [f32]; BLOCK_LEN],
+    means: [f64; BLOCK_LEN],
+}
+
+/// Each lane's running sums: lane k is pair `(left.rows[k], right.rows[k])`.
 #[derive(Debug)]
 struct LaneSums {
     num: [f64; BLOCK_LEN],
@@ -182,103 +251,118 @@ impl LaneSums {
     };
 }
 
-/// The sums of pairs `(rows[k], rows[k + 1])` for every lane k, on the
-/// AVX-512 copy when [`has_avx512`] finds its features, else on the
-/// portable one. Every row must have the same length.
+/// The sums of every lane's pair `(left.rows[k], right.rows[k])`, on an
+/// AVX-512 copy when [`has_avx512`] finds its features, else on the portable
+/// one. Every row must have the same length. A `chain`, where
+/// `left.rows[k]` is `right.rows[k - 1]`'s frame for every pair the caller
+/// keeps, runs on the AVX-512 copy that loads each frame once; lanes the
+/// caller discards may then differ between the copies.
 #[allow(unsafe_code)]
-fn lane_sums(rows: &[&[f32]; MEMBERS], means: &[f64; MEMBERS]) -> LaneSums {
+fn lane_sums(left: &Side, right: &Side, chain: bool) -> LaneSums {
     #[cfg(target_arch = "x86_64")]
     if has_avx512() {
-        // SAFETY: `lane_sums_avx512` may only run on a CPU with avx512f,
-        // avx512dq and avx512vl, its `target_feature` set, and `has_avx512`
-        // has just detected all three on this CPU.
-        return unsafe { lane_sums_avx512(rows, means) };
+        // SAFETY: `chain_avx512` and `pairs_avx512` may only run on a CPU
+        // with avx512f, avx512dq and avx512vl, their `target_feature` set,
+        // and `has_avx512` has just detected all three on this CPU.
+        return unsafe {
+            if chain {
+                chain_avx512(left, right)
+            } else {
+                pairs_avx512(left, right)
+            }
+        };
     }
+    // The portable copy reads each lane's two frames, chained or not.
+    let _ = chain;
     let mut sums = LaneSums::ZERO;
-    per_lane(rows, means, 0..rows[0].len(), &mut sums);
+    per_lane(left, right, 0..left.rows[0].len(), &mut sums);
     sums
 }
 
 /// Pixels per step: the f64 lanes of an AVX-512 register.
 const STEP: usize = 8;
 
-/// The portable copy, and the AVX-512 copy's tail: adds pixels `pixels` of
-/// every lane's pair into `sums` in [`ncc`](crate::ncc())'s serial order,
-/// pixel by pixel. Whole steps of [`STEP`] pixels read fixed-size arrays, so
-/// their loads carry no bounds checks. Inlined always, so each caller
-/// compiles its own copy for its own target features.
-#[inline(always)]
-fn per_lane(
-    rows: &[&[f32]; MEMBERS],
-    means: &[f64; MEMBERS],
-    pixels: Range<usize>,
-    sums: &mut LaneSums,
-) {
-    let mut start = pixels.start;
-    while start + STEP <= pixels.end {
-        let step: [&[f32; STEP]; MEMBERS] = std::array::from_fn(|k| {
-            rows[k][start..start + STEP]
+impl Side<'_> {
+    /// Pixels `start..start + STEP` of every row, pixel-major: element j is
+    /// pixel `start + j` of each lane's frame. The rows are read as
+    /// fixed-size arrays, so the loads carry no bounds checks.
+    #[inline(always)]
+    fn step(&self, start: usize) -> [[f32; BLOCK_LEN]; STEP] {
+        let step: [&[f32; STEP]; BLOCK_LEN] = std::array::from_fn(|k| {
+            self.rows[k][start..start + STEP]
                 .try_into()
                 .expect("a step is STEP pixels")
         });
-        let step: [[f32; MEMBERS]; STEP] = std::array::from_fn(|j| step.map(|row| row[j]));
-        for pixel in step {
-            add_pixel(pixel, means, sums);
+        std::array::from_fn(|j| step.map(|row| row[j]))
+    }
+}
+
+/// The portable copy, and the AVX-512 copies' tail: adds pixels `pixels` of
+/// every lane's pair into `sums` in [`ncc`](crate::ncc())'s serial order,
+/// pixel by pixel, whole steps of [`STEP`] pixels first. Inlined always, so
+/// each caller compiles its own copy for its own target features.
+#[inline(always)]
+fn per_lane(left: &Side, right: &Side, pixels: Range<usize>, sums: &mut LaneSums) {
+    let mut start = pixels.start;
+    while start + STEP <= pixels.end {
+        for (l, r) in left.step(start).into_iter().zip(right.step(start)) {
+            add_pixel(l, r, left, right, sums);
         }
         start += STEP;
     }
-    for pixel in (start..pixels.end).map(|i| rows.map(|row| row[i])) {
-        add_pixel(pixel, means, sums);
+    for i in start..pixels.end {
+        let pixel = |side: &Side| side.rows.map(|row| row[i]);
+        add_pixel(pixel(left), pixel(right), left, right, sums);
     }
 }
 
-/// Adds one pixel of every row to every lane: the cross term before the
-/// norm, as [`ncc`](crate::ncc())'s loop does. A frame's centered value is
-/// the left-hand term of one lane and the right-hand term of the lane
-/// before, so it is computed once.
+/// Adds one pixel of every lane's pair: the cross term before the norm, as
+/// [`ncc`](crate::ncc())'s loop does.
 #[inline(always)]
-fn add_pixel(pixel: [f32; MEMBERS], means: &[f64; MEMBERS], sums: &mut LaneSums) {
-    let d: [f64; MEMBERS] = std::array::from_fn(|k| pixel[k] as f64 - means[k]);
+fn add_pixel(
+    l: [f32; BLOCK_LEN],
+    r: [f32; BLOCK_LEN],
+    left: &Side,
+    right: &Side,
+    sums: &mut LaneSums,
+) {
     for k in 0..BLOCK_LEN {
-        sums.num[k] += d[k] * d[k + 1];
-        sums.norm[k] += d[k + 1] * d[k + 1];
+        let da = l[k] as f64 - left.means[k];
+        let db = r[k] as f64 - right.means[k];
+        sums.num[k] += da * db;
+        sums.norm[k] += db * db;
     }
 }
 
-/// The AVX-512 copy. Each step centers [`STEP`] pixels of every row, then
-/// transposes the first eight rows so that register j holds pixel j of rows
-/// 0–7, the left-hand frames; a permute shifts in the ninth row's pixel to
-/// get rows 1–8, the right-hand frames. The pixels that do not fill a step
-/// run through [`per_lane`].
+/// Pixels `start..start + STEP` of `row` as f64, pixel j in lane j.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn lane_sums_avx512(rows: &[&[f32]; MEMBERS], means: &[f64; MEMBERS]) -> LaneSums {
+#[inline]
+fn load(row: &[f32], start: usize) -> std::arch::x86_64::__m512d {
     use std::arch::x86_64::*;
 
-    let len = rows[0].len();
-    let steps = len - len % STEP;
-    let rows = rows.map(|row| &row[..len]);
-    // Lanes 1–7 of the first source, then lane j of the second.
-    let shift: [__m512i; STEP] =
-        std::array::from_fn(|j| _mm512_setr_epi64(1, 2, 3, 4, 5, 6, 7, 8 + j as i64));
-    let (mut num, mut norm) = (_mm512_setzero_pd(), _mm512_setzero_pd());
-    for start in (0..steps).step_by(STEP) {
-        // Row k's pixels minus its mean, pixel j in lane j.
-        let centered = |k: usize| {
-            let px: &[f32; STEP] = rows[k][start..start + STEP]
-                .try_into()
-                .expect("a step is STEP pixels");
-            let px = _mm256_setr_ps(px[0], px[1], px[2], px[3], px[4], px[5], px[6], px[7]);
-            _mm512_sub_pd(_mm512_cvtps_pd(px), _mm512_set1_pd(means[k]))
-        };
-        let left = transpose(std::array::from_fn(centered));
-        let last = centered(BLOCK_LEN);
-        for (da, shift) in left.into_iter().zip(shift) {
-            let db = _mm512_permutex2var_pd(da, shift, last);
-            num = _mm512_add_pd(num, _mm512_mul_pd(da, db));
-            norm = _mm512_add_pd(norm, _mm512_mul_pd(db, db));
-        }
-    }
+    let px: &[f32; STEP] = row[start..start + STEP]
+        .try_into()
+        .expect("a step is STEP pixels");
+    _mm512_cvtps_pd(_mm256_setr_ps(
+        px[0], px[1], px[2], px[3], px[4], px[5], px[6], px[7],
+    ))
+}
+
+/// The lanes of the running sums, then the pixels of `left` and `right`
+/// from `done` on added by [`per_lane`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+#[inline]
+fn finish(
+    num: std::arch::x86_64::__m512d,
+    norm: std::arch::x86_64::__m512d,
+    left: &Side,
+    right: &Side,
+    done: usize,
+) -> LaneSums {
+    use std::arch::x86_64::*;
+
     let lane = |v: __m512d, k: usize| {
         let at = _mm512_set1_epi64(k as i64);
         _mm_cvtsd_f64(_mm512_castpd512_pd128(_mm512_permutexvar_pd(at, v)))
@@ -287,8 +371,84 @@ fn lane_sums_avx512(rows: &[&[f32]; MEMBERS], means: &[f64; MEMBERS]) -> LaneSum
         num: std::array::from_fn(|k| lane(num, k)),
         norm: std::array::from_fn(|k| lane(norm, k)),
     };
-    per_lane(&rows, means, steps..len, &mut sums);
+    per_lane(left, right, done..left.rows[0].len(), &mut sums);
     sums
+}
+
+/// The AVX-512 copy for unrelated pairs. Each step loads [`STEP`] pixels
+/// of every row and transposes each side's eight rows, so that register j
+/// holds pixel j of the eight left-hand frames, and another pixel j of the
+/// eight right-hand ones; centering then subtracts one register of means
+/// from each.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn pairs_avx512(left: &Side, right: &Side) -> LaneSums {
+    use std::arch::x86_64::*;
+
+    let len = left.rows[0].len();
+    let steps = len - len % STEP;
+    // Closures passed to `array::map` would not inherit the target
+    // features, so every step builds its arrays with `from_fn`.
+    let sides = [left, right].map(|side| {
+        let m = side.means;
+        let means = _mm512_setr_pd(m[0], m[1], m[2], m[3], m[4], m[5], m[6], m[7]);
+        let rows: [&[f32]; BLOCK_LEN] = std::array::from_fn(|k| &side.rows[k][..len]);
+        (rows, means)
+    });
+    let (mut num, mut norm) = (_mm512_setzero_pd(), _mm512_setzero_pd());
+    for start in (0..steps).step_by(STEP) {
+        // Register j: pixel j of one side's eight frames, minus each
+        // frame's mean.
+        let centered = |(rows, means): &([&[f32]; BLOCK_LEN], __m512d)| {
+            let pixels = transpose(std::array::from_fn(|k| load(rows[k], start)));
+            let centered: [__m512d; STEP] =
+                std::array::from_fn(|j| _mm512_sub_pd(pixels[j], *means));
+            centered
+        };
+        let (da, db) = (centered(&sides[0]), centered(&sides[1]));
+        for (da, db) in da.into_iter().zip(db) {
+            num = _mm512_add_pd(num, _mm512_mul_pd(da, db));
+            norm = _mm512_add_pd(norm, _mm512_mul_pd(db, db));
+        }
+    }
+    finish(num, norm, left, right, steps)
+}
+
+/// The AVX-512 copy for a chain. Its rows are the first pair's left-hand
+/// frame and every pair's right-hand one, so lane k is rows k and k + 1.
+/// Each step centers [`STEP`] pixels of every row, then transposes the
+/// first eight rows so that register j holds pixel j of rows 0–7, the
+/// left-hand frames; a permute shifts in the ninth row's pixel to get rows
+/// 1–8, the right-hand frames.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn chain_avx512(left: &Side, right: &Side) -> LaneSums {
+    use std::arch::x86_64::*;
+
+    let len = left.rows[0].len();
+    let steps = len - len % STEP;
+    let row = |k: usize| match k.checked_sub(1) {
+        None => (left.rows[0], left.means[0]),
+        Some(pair) => (right.rows[pair], right.means[pair]),
+    };
+    let rows: [&[f32]; BLOCK_LEN + 1] = std::array::from_fn(|k| &row(k).0[..len]);
+    let means: [f64; BLOCK_LEN + 1] = std::array::from_fn(|k| row(k).1);
+    // Lanes 1–7 of the first source, then lane j of the second.
+    let shift: [__m512i; STEP] =
+        std::array::from_fn(|j| _mm512_setr_epi64(1, 2, 3, 4, 5, 6, 7, 8 + j as i64));
+    let (mut num, mut norm) = (_mm512_setzero_pd(), _mm512_setzero_pd());
+    for start in (0..steps).step_by(STEP) {
+        // Row k's pixels minus its mean, pixel j in lane j.
+        let centered = |k: usize| _mm512_sub_pd(load(rows[k], start), _mm512_set1_pd(means[k]));
+        let lefts = transpose(std::array::from_fn(centered));
+        let last = centered(BLOCK_LEN);
+        for (da, shift) in lefts.into_iter().zip(shift) {
+            let db = _mm512_permutex2var_pd(da, shift, last);
+            num = _mm512_add_pd(num, _mm512_mul_pd(da, db));
+            norm = _mm512_add_pd(norm, _mm512_mul_pd(db, db));
+        }
+    }
+    finish(num, norm, left, right, steps)
 }
 
 /// Transposes eight rows of eight f64: lane k of output j is lane j of input
@@ -337,7 +497,7 @@ pub(crate) mod count {
     use std::cell::Cell;
 
     thread_local! {
-        /// Block passes run.
+        /// Record passes run.
         pub(crate) static PASSES: Cell<usize> = const { Cell::new(0) };
         /// Serial cross-term loops run.
         pub(crate) static SERIAL: Cell<usize> = const { Cell::new(0) };
@@ -404,42 +564,71 @@ mod tests {
         ]
     }
 
+    /// Eight unrelated pairs of [`mixed_frames`]: textured beside flat, flat
+    /// beside flat, flat beside textured, identical pixels in two buffers,
+    /// one buffer on both sides (textured and flat), and textured pairs
+    /// apart in the list.
+    const PAIRS: [(usize, usize); BLOCK_LEN] = [
+        (0, 1),
+        (1, 2),
+        (2, 3),
+        (4, 5),
+        (5, 5),
+        (8, 0),
+        (3, 6),
+        (7, 7),
+    ];
+
     const SIZES: [(usize, usize); 5] = [(1, 1), (3, 5), (17, 9), (64, 64), (65, 63)];
 
     #[test]
     fn lane_copies_are_bit_identical_to_the_serial_loop() {
-        // `lane_sums` runs the AVX-512 copy on a host that has it; here the
+        // `lane_sums` runs an AVX-512 copy on a host that has it; here the
         // portable loop also runs directly, and both must give every pair
-        // the serial loop's bits. Lanes past the block's pairs run on the
-        // filler row and must still agree between the copies.
+        // the serial loop's bits. Each count of 1 to 8 pairs runs in every
+        // rotation, so each pair meets every lane: unrelated pairs from
+        // `PAIRS`, and chains of consecutive frames as a stream links them.
         for (width, height) in SIZES {
             let frames = mixed_frames(width, height);
-            for len in 2..=MEMBERS {
-                let block = &frames[..len];
-                let mut rows = [block[0].pixels(); MEMBERS];
-                let mut means = [0.0; MEMBERS];
-                for (k, frame) in block.iter().enumerate() {
-                    rows[k] = frame.pixels();
-                    means[k] = frame.mean();
-                }
-                let dispatched = lane_sums(&rows, &means);
-                let mut portable = LaneSums::ZERO;
-                per_lane(&rows, &means, 0..width * height, &mut portable);
-                let case = format!("{width}x{height}, {len} frames");
-                for k in 0..BLOCK_LEN {
-                    assert_eq!(
-                        bits((dispatched.num[k], dispatched.norm[k])),
-                        bits((portable.num[k], portable.norm[k])),
-                        "{case}, lane {k}"
-                    );
-                }
-                for k in 0..len - 1 {
-                    let expected = serial(rows[k], means[k], rows[k + 1], means[k + 1]);
-                    assert_eq!(
-                        bits((portable.num[k], portable.norm[k])),
-                        bits(expected),
-                        "{case}, pair {k}"
-                    );
+            for len in 1..=BLOCK_LEN {
+                for rotation in 0..BLOCK_LEN {
+                    let unrelated: Vec<(usize, usize)> = (0..len)
+                        .map(|k| PAIRS[(k + rotation) % BLOCK_LEN])
+                        .collect();
+                    let chain: Vec<(usize, usize)> = (0..len)
+                        .map(|k| ((k + rotation) % 9, (k + rotation + 1) % 9))
+                        .collect();
+                    for (pairs, is_chain) in [(unrelated, false), (chain, true)] {
+                        let side = |pick: fn((usize, usize)) -> usize| {
+                            let mut side = Side {
+                                rows: [frames[pick(pairs[0])].pixels(); BLOCK_LEN],
+                                means: [0.0; BLOCK_LEN],
+                            };
+                            for (k, &pair) in pairs.iter().enumerate() {
+                                side.rows[k] = frames[pick(pair)].pixels();
+                                side.means[k] = frames[pick(pair)].mean();
+                            }
+                            side
+                        };
+                        let (left, right) = (side(|(l, _)| l), side(|(_, r)| r));
+                        let dispatched = lane_sums(&left, &right, is_chain);
+                        let mut portable = LaneSums::ZERO;
+                        per_lane(&left, &right, 0..width * height, &mut portable);
+                        let case = format!("{width}x{height}, pairs {pairs:?}");
+                        for k in 0..len {
+                            let expected =
+                                serial(left.rows[k], left.means[k], right.rows[k], right.means[k]);
+                            for (copy, sums) in
+                                [("dispatched", &dispatched), ("portable", &portable)]
+                            {
+                                assert_eq!(
+                                    bits((sums.num[k], sums.norm[k])),
+                                    bits(expected),
+                                    "{case}, {copy}, pair {k}"
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -448,9 +637,10 @@ mod tests {
     #[test]
     fn linked_pairs_give_the_serial_ncc_and_its_norms() {
         for (width, height) in SIZES {
+            // Consecutive pairs, as a stream links them.
             let frames = mixed_frames(width, height);
             let copies: Vec<GrayImage> = frames.iter().map(unlinked).collect();
-            link(None, frames.iter());
+            link(frames.windows(2).map(|w| (Member::of(&w[0]), &w[1])));
             let before = count::read();
             for (pair, copy) in frames.windows(2).zip(copies.windows(2)) {
                 let (linked, expected) = (ncc(&pair[0], &pair[1]), ncc(&copy[0], &copy[1]));
@@ -465,7 +655,71 @@ mod tests {
                     copy.centered_norm().to_bits()
                 );
             }
+
+            // Unrelated pairs, as a fleet links them. Each current frame is
+            // a fresh clone's buffer so that it can be linked again; frame 5
+            // also sits on both sides of one pair.
+            for len in 1..=BLOCK_LEN {
+                let frames = mixed_frames(width, height);
+                let pairs: Vec<(GrayImage, GrayImage)> = PAIRS[..len]
+                    .iter()
+                    .map(|&(l, r)| {
+                        let right = if l == r {
+                            frames[r].clone()
+                        } else {
+                            unlinked(&frames[r])
+                        };
+                        (frames[l].clone(), right)
+                    })
+                    .collect();
+                let linked = link_pairs(pairs.iter().map(|(l, r)| (l, r)));
+                assert_eq!(linked, len, "{width}x{height}: every pair links");
+                let before = count::read();
+                for (k, (l, r)) in pairs.iter().enumerate() {
+                    let expected = ncc(&unlinked(l), &unlinked(r)).unwrap();
+                    assert_eq!(
+                        ncc(l, r).unwrap().to_bits(),
+                        expected.to_bits(),
+                        "{width}x{height}, {len} pairs, pair {k}"
+                    );
+                    assert_eq!(
+                        r.centered_norm().to_bits(),
+                        unlinked(r).centered_norm().to_bits()
+                    );
+                }
+                let after = count::read();
+                assert_eq!(
+                    (after.0 - before.0, after.1 - before.1),
+                    (1, len),
+                    "{width}x{height}, {len} pairs: one pass, serial only for the references"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn link_pairs_takes_eight_pairs_of_one_size_whose_current_frames_are_unlinked() {
+        let small = mixed_frames(3, 5);
+        let large = mixed_frames(17, 9);
+        let fresh: Vec<GrayImage> = small.iter().chain(&large).map(unlinked).collect();
+        let (s, l) = (&fresh[..9], &fresh[9..]);
+        // A pair of two sizes, and a pair of another size than the first
+        // pair taken, are skipped; of the nine pairs of the first size, the
+        // ninth is left out.
+        let windows: Vec<_> = s.windows(2).map(|w| (&w[0], &w[1])).collect();
+        let pairs = [(&l[0], &s[1])]
+            .into_iter()
+            .chain(windows[..4].iter().copied())
+            .chain([(&l[0], &l[1])])
+            .chain(windows[4..].iter().copied())
+            .chain([(&s[8], &s[0])]);
+        assert_eq!(link_pairs(pairs), BLOCK_LEN);
+        assert!(l[1].block_link().is_none());
+        assert!(s[0].block_link().is_none(), "the ninth pair is not linked");
+        // Frames 1 to 8 are linked now, so only the pair onto frame 0 links.
+        let again = s.windows(2).map(|w| (&w[0], &w[1])).chain([(&s[8], &s[0])]);
+        assert_eq!(link_pairs(again), 1);
+        assert_eq!(link_pairs(std::iter::empty()), 0);
     }
 
     /// Each consecutive pair's whole-frame NCC, from frames rendered one at
@@ -581,6 +835,97 @@ mod tests {
     }
 
     #[test]
+    fn unrelated_pairs_with_a_dropped_mutated_or_other_left_take_the_serial_path() {
+        let frames = mixed_frames(17, 9);
+        let fresh = || -> Vec<GrayImage> { frames.iter().map(unlinked).collect() };
+        let reference =
+            |p: &GrayImage, c: &GrayImage| ncc(&unlinked(p), &unlinked(c)).unwrap().to_bits();
+
+        // Before the pass: pair 0's left dropped, pair 1's right dropped,
+        // pair 2's left and pair 3's right changed. Pairs 4 and 5 stay whole.
+        let (f, g) = (fresh(), fresh());
+        let mut lefts: Vec<Option<GrayImage>> =
+            [0, 1, 2, 3, 4, 5].map(|i| Some(f[i].clone())).into();
+        let mut rights: Vec<Option<GrayImage>> =
+            [6, 7, 8, 0, 1, 2].map(|i| Some(g[i].clone())).into();
+        drop((f, g));
+        assert_eq!(
+            link_pairs(
+                lefts
+                    .iter()
+                    .zip(&rights)
+                    .map(|(l, r)| (l.as_ref().unwrap(), r.as_ref().unwrap()))
+            ),
+            6
+        );
+        let kept_left = lefts[0].take().map(|image| unlinked(&image)).unwrap();
+        rights[1] = None;
+        lefts[2].as_mut().unwrap().set(0, 0, 0.75);
+        rights[3].as_mut().unwrap().set(2, 1, 0.125);
+        let before = count::read();
+        // Pair 0 with a copy of its dropped left, pair 2 with the changed
+        // left, pair 3 with the changed right: serial. Pairs 4 and 5 come
+        // from one pass, which skips pairs 0 and 1 for their dead buffers.
+        let serial_pairs = [
+            (&kept_left, rights[0].as_ref().unwrap()),
+            (lefts[2].as_ref().unwrap(), rights[2].as_ref().unwrap()),
+            (lefts[3].as_ref().unwrap(), rights[3].as_ref().unwrap()),
+        ];
+        let linked_pairs =
+            [4, 5].map(|k| (lefts[k].as_ref().unwrap(), rights[k].as_ref().unwrap()));
+        let expected: Vec<u64> = serial_pairs
+            .iter()
+            .chain(&linked_pairs)
+            .map(|(p, c)| reference(p, c))
+            .collect();
+        let mid = count::read();
+        let got: Vec<u64> = serial_pairs
+            .iter()
+            .chain(&linked_pairs)
+            .map(|(p, c)| ncc(p, c).unwrap().to_bits())
+            .collect();
+        let after = count::read();
+        assert_eq!(got, expected);
+        assert_eq!(
+            (mid.0 - before.0, mid.1 - before.1),
+            (0, 5),
+            "the references"
+        );
+        assert_eq!((after.0 - mid.0, after.1 - mid.1), (1, 3));
+
+        // A current frame correlated with a frame that is not its pair's
+        // left, even one with the same pixels, takes the serial path and
+        // leaves the pass to its own pair.
+        let f = fresh();
+        let (left, right) = (f[3].clone(), f[6].clone());
+        assert_eq!(link_pairs([(&left, &right)]), 1);
+        let before = count::read();
+        for other in [unlinked(&left), f[5].clone(), right.clone()] {
+            assert_eq!(
+                ncc(&other, &right).unwrap().to_bits(),
+                reference(&other, &right)
+            );
+        }
+        assert_eq!(
+            ncc(&left, &right).unwrap().to_bits(),
+            reference(&left, &right)
+        );
+        let after = count::read();
+        assert_eq!((after.0 - before.0, after.1 - before.1), (1, 3 + 4));
+
+        // Frame 3's right changed after the pass: serial again.
+        let mut right = right;
+        right.set(0, 0, 0.5);
+        let before = count::read();
+        assert_eq!(
+            ncc(&left, &right).unwrap().to_bits(),
+            reference(&left, &right)
+        );
+        let after = count::read();
+        assert_eq!((after.0 - before.0, after.1 - before.1), (0, 2));
+    }
+
+    #[test]
     fn a_cloned_stream_yields_frames_linked_to_the_same_records() {
         let scenario = Scenario::scenario_3().with_num_frames(12);
         let mut stream = scenario.stream();
@@ -588,7 +933,7 @@ mod tests {
         let mut clone = stream.clone();
         let record = |frame: &Frame| {
             let link = frame.image.block_link().expect("stream frames are linked");
-            (Arc::as_ptr(&link.record), link.slot)
+            (Arc::as_ptr(&link.record), link.pair)
         };
         let before = count::read();
         let mut previous = first.clone();

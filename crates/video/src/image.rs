@@ -26,11 +26,13 @@ use std::sync::{Arc, OnceLock};
 /// historical three-sum formulation, with each statistic computed once per
 /// image instead of once per correlation.
 ///
-/// A frame that a [`FrameStream`](crate::FrameStream) rendered in a block
-/// also names its block's shared record here, which holds the whole-frame
-/// NCC of the block's consecutive pairs once a correlation asks for one of
-/// them (see [`crate::block`]). A mutation replaces or clears every cell,
-/// the block's name included, so only unchanged pixels are ever linked.
+/// A frame that is the right-hand side of a linked pair (a
+/// [`FrameStream`](crate::FrameStream) block's frame, or a fleet stream's
+/// pending frame linked by [`link_pairs`](crate::link_pairs)) also names
+/// its pair's shared record here, which holds the whole-frame NCC of every
+/// pair of the record once a correlation asks for one of them (see
+/// [`crate::block`]). A mutation replaces or clears every cell, the
+/// record's name included, so only unchanged pixels are ever linked.
 #[derive(Debug, Default)]
 struct Moments {
     mean: OnceLock<f64>,
@@ -125,9 +127,9 @@ pub struct GrayImage {
     height: usize,
     data: Arc<Vec<f32>>,
     /// Lazy moment cache, shared with clones of this image: the mean, the
-    /// centered norm and, for a frame a stream rendered in a block, the
-    /// block's record. A mutation replaces (or clears) every cell, so stale
-    /// moments and stale block results can never leak across copy-on-write
+    /// centered norm and, for the right-hand frame of a linked pair, the
+    /// pair's record. A mutation replaces (or clears) every cell, so stale
+    /// moments and stale linked results can never leak across copy-on-write
     /// boundaries.
     moments: Arc<Moments>,
 }
@@ -278,17 +280,18 @@ impl GrayImage {
     }
 
     /// The shared pixel buffer, whose address identifies these pixels for
-    /// as long as a block record holds a weak reference to it.
+    /// as long as a record holds a weak reference to it.
     pub(crate) fn buffer(&self) -> &Arc<Vec<f32>> {
         &self.data
     }
 
-    /// The block record this image was linked into, if any.
+    /// The record this image was linked into as a pair's right-hand frame,
+    /// if any.
     pub(crate) fn block_link(&self) -> Option<&BlockLink> {
         self.moments.block.get()
     }
 
-    /// Links this image into a block record, unless it is linked already.
+    /// Links this image into a record, unless it is linked already.
     pub(crate) fn set_block_link(&self, link: BlockLink) {
         let _ = self.moments.block.set(link);
     }

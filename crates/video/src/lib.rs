@@ -43,6 +43,7 @@ pub mod stream;
 pub mod trajectory;
 
 pub use bbox::BoundingBox;
+pub use block::link_pairs;
 pub use context::FrameContext;
 pub use dataset::CharacterizationDataset;
 pub use generator::{

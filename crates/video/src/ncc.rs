@@ -54,13 +54,15 @@ pub const REGION_NCC_SIZE: usize = 16;
 /// is deliberately *not* rewritten as `dot(p, c) − n·mean(p)·mean(c)`,
 /// which rounds differently).
 ///
-/// Consecutive frames of one [`FrameStream`](crate::FrameStream) block
-/// skip that loop. When `c`'s block record names `p`'s pixel buffer as
-/// `c`'s predecessor, the first such call runs every consecutive pair of
-/// the block in one pass, one pair per f64 lane, with the same operand
-/// order per lane; this and every later pair of the block read their cross
-/// term and `c`'s norm from the record, which is stored on `c` like any
-/// other norm. Any other pair runs the loop above.
+/// A linked pair skips that loop: the consecutive frames of one
+/// [`FrameStream`](crate::FrameStream) block, and the pending pairs of up
+/// to eight streams that a fleet links with [`link_pairs`](crate::link_pairs).
+/// When `c`'s record names `p`'s pixel buffer as the left of `c`'s pair, the
+/// first such call runs every pair of the record in one pass, one pair per
+/// f64 lane, with the same operand order per lane; this and every later
+/// pair of the record read their cross term and `c`'s norm from the record,
+/// which is stored on `c` like any other norm. Any other pair runs the loop
+/// above.
 ///
 /// # Errors
 ///

@@ -120,7 +120,16 @@ impl FrameStream {
             .take()
             .filter(|(index, _)| index + 1 == start)
             .map(|(_, member)| member);
-        block::link(previous, self.ahead.iter().map(|frame| &frame.image));
+        // Pair k is (frame k − 1, frame k), with the previous block's last
+        // frame before the first; without it the first frame has no pair.
+        let images = self.ahead.iter().map(|frame| &frame.image);
+        let rights = images.clone().skip(usize::from(previous.is_none()));
+        block::link(
+            previous
+                .into_iter()
+                .chain(images.map(Member::of))
+                .zip(rights),
+        );
         self.last = Some((newest.index, Member::of(&newest.image)));
     }
 }

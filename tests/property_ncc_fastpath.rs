@@ -17,11 +17,12 @@
 
 use proptest::prelude::*;
 use shift_core::{
-    characterize, CandidatePair, Characterization, ConfidenceGraph, Scheduler, ShiftConfig,
-    ShiftRuntime,
+    characterize, AttachRequest, CandidatePair, Characterization, ClusterBuilder, ClusterPolicy,
+    ConfidenceGraph, ContextDetector, DeadlineClass, FleetBuilder, FrameOutcome, Scheduler,
+    ServicePolicy, SessionEvent, SessionRequest, ShiftConfig, ShiftRuntime, StreamHandle,
 };
 use shift_models::{ModelId, ModelZoo, ResponseModel};
-use shift_soc::{AcceleratorId, ExecutionEngine, Platform};
+use shift_soc::{AcceleratorId, DeviceClass, ExecutionEngine, Platform};
 use shift_video::image::{render_frame, SceneAppearance};
 use shift_video::ncc::REGION_NCC_SIZE;
 use shift_video::{
@@ -277,14 +278,57 @@ fn generated_scenario(seed: u64, spec: usize, size: usize, frames: usize) -> Sce
         .with_num_frames(frames)
 }
 
-fn shift_runtime() -> ShiftRuntime {
-    let engine = ExecutionEngine::new(
+fn engine() -> ExecutionEngine {
+    ExecutionEngine::new(
         Platform::xavier_nx_with_oak(),
         ModelZoo::standard(),
         ResponseModel::new(17),
-    );
-    ShiftRuntime::new(engine, characterization(), ShiftConfig::paper_defaults())
+    )
+}
+
+fn shift_runtime() -> ShiftRuntime {
+    ShiftRuntime::new(engine(), characterization(), ShiftConfig::paper_defaults())
         .expect("runtime builds")
+}
+
+/// A batch-class session request, which no latency budget refuses.
+fn batch_session(name: String, scenario: Scenario) -> SessionRequest {
+    SessionRequest::Attach(AttachRequest::new(
+        name,
+        scenario,
+        ShiftConfig::paper_defaults(),
+        DeadlineClass::Batch,
+    ))
+}
+
+/// Replays a fresh context detector per stream slot on the slot's frames
+/// rendered one at a time through `frame_at`, which are linked to nothing
+/// and take the serial NCC, and checks every similarity the slot recorded,
+/// bit for bit. `slots` maps a slot to its scenario and to its outcomes in
+/// the order they ran.
+fn replay_similarities<K: std::fmt::Debug>(slots: &BTreeMap<K, (Scenario, Vec<FrameOutcome>)>) {
+    for (slot, (scenario, outcomes)) in slots {
+        let stream = scenario.stream();
+        let mut detector = ContextDetector::new();
+        let mut last: Option<BoundingBox> = None;
+        for outcome in outcomes {
+            let frame = stream
+                .frame_at(outcome.frame_index)
+                .expect("played frames exist");
+            let replayed = detector.similarity(&frame, last.as_ref());
+            assert_eq!(
+                replayed.to_bits(),
+                outcome.similarity.to_bits(),
+                "slot {:?}, frame {}: replayed {} != recorded {}",
+                slot,
+                outcome.frame_index,
+                replayed,
+                outcome.similarity
+            );
+            last = outcome.detection.map(|d| d.bbox);
+            detector.update(&frame, last.as_ref());
+        }
+    }
 }
 
 fn characterization() -> &'static Characterization {
@@ -419,6 +463,76 @@ proptest! {
         let single = shift_runtime().run(one_by_one).expect("runs");
         prop_assert_eq!(linked.len(), frames.saturating_sub(start));
         prop_assert_eq!(linked, single);
+    }
+
+    /// A fleet links the pending frame pairs of up to eight ready streams
+    /// of one frame size into one lane pass. Under a service whose sessions
+    /// attach at tick 0 or later, of mixed frame sizes, and some detach
+    /// midway, every similarity the fleet records equals a context detector
+    /// replayed on frames rendered one at a time, bit for bit.
+    #[test]
+    fn service_similarities_match_a_detector_replay_on_frames_rendered_one_by_one(
+        sessions in proptest::collection::vec(
+            ((0u64..1_000, 0usize..96, 0usize..4), (8usize..30, 0u64..12, 0u64..150)),
+            4..10,
+        ),
+    ) {
+        let mut service = FleetBuilder::new(engine(), characterization())
+            .build_service(ServicePolicy::defaults())
+            .expect("service builds");
+        let scenarios: Vec<Scenario> = sessions
+            .iter()
+            .map(|&((seed, spec, size), (frames, _, _))| {
+                // Mostly one size, so that pairs link, and two others.
+                generated_scenario(seed, spec, [2, 2, 1, 3][size], frames)
+            })
+            .collect();
+        // (tick, detach, session), attaches before detaches of one tick. A
+        // session whose detach delay is 0 stays attached.
+        let mut actions: Vec<(u64, bool, usize)> = sessions
+            .iter()
+            .enumerate()
+            .flat_map(|(k, &(_, (_, attach, detach)))| {
+                std::iter::once((attach, false, k))
+                    .chain((detach > 0).then_some((attach + detach, true, k)))
+            })
+            .collect();
+        actions.sort();
+        let mut ids = vec![None; sessions.len()];
+        let mut slots = BTreeMap::new();
+        let mut next = 0;
+        loop {
+            // Fire the next request when its tick is due, or at once when
+            // every stream is idle.
+            let due = actions
+                .get(next)
+                .is_some_and(|&(tick, ..)| tick <= service.ticks() || service.fleet().is_done());
+            if due {
+                let (_, detach, k) = actions[next];
+                next += 1;
+                if detach {
+                    if let Some(id) = ids[k] {
+                        service.submit(SessionRequest::Detach(id));
+                    }
+                } else if let SessionEvent::Admitted { session: id, .. } =
+                    service.submit(batch_session(format!("s{k}"), scenarios[k].clone()))
+                {
+                    ids[k] = Some(id);
+                    let slot = service.stream_of(id).expect("admitted sessions run").index();
+                    slots.insert(slot, (scenarios[k].clone(), Vec::new()));
+                }
+                continue;
+            }
+            let Some(outcome) = service.step().expect("the service steps") else {
+                break;
+            };
+            slots
+                .get_mut(&outcome.stream)
+                .expect("outcomes come from admitted slots")
+                .1
+                .push(outcome.outcome);
+        }
+        replay_similarities(&slots);
     }
 
     /// `render_frame` draws the target row by row, right after each row's
@@ -664,4 +778,66 @@ proptest! {
             reference_fallback(decided, &scores, incumbent)
         );
     }
+}
+
+/// The cluster's nodes step their fleets, which link pending pairs into lane
+/// passes; a session migrated between nodes resumes on a fresh detector.
+/// Every similarity recorded on either node equals a detector replayed on
+/// frames rendered one at a time, bit for bit.
+#[test]
+fn cluster_similarities_across_a_migration_match_a_detector_replay() {
+    let mut builder =
+        ClusterBuilder::new().policy(ClusterPolicy::defaults().with_rebalance(4, 0.9));
+    for _ in 0..2 {
+        let class = DeviceClass::NxClass;
+        let engine = ExecutionEngine::new(
+            class.platform(),
+            ModelZoo::standard(),
+            ResponseModel::new(17),
+        );
+        builder = builder.node(class, engine, characterization().clone());
+    }
+    let mut cluster = builder.build().expect("cluster builds");
+    // Nine long sessions and one short one: placement loads one node more
+    // once the short session drains, and the rebalancer moves a session.
+    let lengths = [40, 40, 40, 40, 40, 40, 40, 40, 40, 4];
+    let scenarios: BTreeMap<String, Scenario> = lengths
+        .iter()
+        .enumerate()
+        .map(|(k, &frames)| {
+            (
+                format!("s{k}"),
+                generated_scenario(k as u64, 7 * k, 2, frames),
+            )
+        })
+        .collect();
+    for (name, scenario) in &scenarios {
+        let SessionRequest::Attach(request) = batch_session(name.clone(), scenario.clone()) else {
+            unreachable!("batch_session builds an attach");
+        };
+        cluster.schedule_attach(0, request);
+    }
+    let outcomes = cluster.run_until_idle().expect("the cluster runs");
+    assert!(
+        !cluster.migrations().is_empty(),
+        "the rebalancer migrates a session"
+    );
+    let mut slots = BTreeMap::new();
+    for outcome in outcomes {
+        let fleet = cluster.node(outcome.node).fleet();
+        let name = fleet
+            .stream(StreamHandle::from_index(outcome.inner.stream))
+            .name()
+            .to_owned();
+        slots
+            .entry((outcome.node, outcome.inner.stream))
+            .or_insert_with(|| (scenarios[&name].clone(), Vec::new()))
+            .1
+            .push(outcome.inner.outcome);
+    }
+    replay_similarities(&slots);
+    let linked: u64 = (0..cluster.node_count())
+        .map(|node| cluster.node(node).fleet().linked_pairs())
+        .sum();
+    assert!(linked > 0, "the nodes link pending pairs into lane passes");
 }
