@@ -164,9 +164,11 @@ impl AdaVpRuntime {
         self.detector_invocations += 1;
         self.skipped_frames = 0;
         let scale = self.current_scale();
-        let report =
-            self.engine
-                .probe_inference(self.config.model, self.config.accelerator, frame)?;
+        let report = self.engine.probe_inference(
+            self.config.model,
+            self.config.accelerator,
+            &frame.label(),
+        )?;
         let cost_factor = scale * scale;
         let latency = report.latency_s * cost_factor;
         let energy = report.energy_j * cost_factor;

@@ -142,9 +142,11 @@ impl OffloadRuntime {
             // only the radio cost. Detection quality is whatever the server
             // model produces on this frame.
             self.stats.offloaded_frames += 1;
-            let report =
-                self.engine
-                    .probe_inference(self.config.server_model, AcceleratorId::Gpu, frame)?;
+            let report = self.engine.probe_inference(
+                self.config.server_model,
+                AcceleratorId::Gpu,
+                &frame.label(),
+            )?;
             let iou = report.result.iou_against(frame.truth.as_ref());
             if let Some(detection) = report.result.detection {
                 self.tracker.initialize(frame, &detection.bbox);

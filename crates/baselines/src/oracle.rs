@@ -116,12 +116,13 @@ impl OracleRuntime {
     /// [`SocError::AcceleratorOffline`] (naming the first candidate's
     /// accelerator) when every candidate accelerator is offline at once.
     pub fn process_frame(&mut self, frame: &Frame) -> Result<FrameRecord, SocError> {
+        let label = frame.label();
         let mut probes: Vec<InferenceReport> = Vec::with_capacity(self.pairs.len());
         for &(model, accelerator) in &self.pairs {
             if !self.engine.is_online(accelerator) {
                 continue;
             }
-            probes.push(self.engine.probe_inference(model, accelerator, frame)?);
+            probes.push(self.engine.probe_inference(model, accelerator, &label)?);
         }
         if probes.is_empty() {
             return Err(SocError::AcceleratorOffline(

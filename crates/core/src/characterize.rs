@@ -2,10 +2,11 @@
 //!
 //! The characterization pass runs every object-detection model over a
 //! validation dataset and records, per frame, the confidence score and the
-//! IoU against ground truth. The per-frame co-occurrences feed the confidence
-//! graph; the aggregates become the [`ModelTraits`] consumed by the
-//! scheduler; and the per-accelerator latency/energy statistics come from
-//! probing the execution engine.
+//! IoU against ground truth. The dataset holds frame labels, not rendered
+//! frames: the simulated detector reads no pixel. The per-frame
+//! co-occurrences feed the confidence graph; the aggregates become the
+//! [`ModelTraits`] consumed by the scheduler; and the per-accelerator
+//! latency/energy statistics come from probing the execution engine.
 //!
 //! As in the paper, this step "relies solely on a testing or validation
 //! subset of the dataset used for training the models" — it never sees the
@@ -157,9 +158,10 @@ impl Characterization {
 /// `dataset`.
 ///
 /// Detection accuracy and confidence are accelerator-independent (they are a
-/// property of the network), so each model is probed once per frame; latency,
-/// power and energy are characterized per accelerator from the engine's
-/// execution model.
+/// property of the network), so each model is probed once per sample, on the
+/// sample's [`FrameLabel`](shift_video::FrameLabel) (nothing is rendered);
+/// latency, power and energy are characterized per accelerator from the
+/// engine's execution model.
 pub fn characterize(
     engine: &ExecutionEngine,
     dataset: &CharacterizationDataset,
@@ -175,7 +177,7 @@ pub fn characterize(
     let mut conf_sum: BTreeMap<ModelId, f64> = BTreeMap::new();
     let mut conf_count: BTreeMap<ModelId, usize> = BTreeMap::new();
 
-    for (sample_index, frame) in dataset.iter().enumerate() {
+    for (sample_index, label) in dataset.iter().enumerate() {
         let mut per_model = BTreeMap::new();
         for spec in zoo.iter() {
             let Some(accelerator) = accelerators
@@ -186,9 +188,9 @@ pub fn characterize(
                 continue;
             };
             let report = engine
-                .probe_inference(spec.id, accelerator, frame)
+                .probe_inference(spec.id, accelerator, label)
                 .expect("pair validated as compatible");
-            let iou = report.result.iou_against(frame.truth.as_ref());
+            let iou = report.result.iou_against(label.truth.as_ref());
             let confidence = report.result.confidence();
             let detected = report.result.detection.is_some();
             per_model.insert(

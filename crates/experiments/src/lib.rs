@@ -145,7 +145,8 @@ pub struct ExperimentContext {
     characterization: Characterization,
     /// The validation dataset the characterization was computed on, kept so
     /// per-platform characterizations (cluster device classes) probe the
-    /// same frames.
+    /// same samples. It holds frame labels, a few scalars each and no
+    /// pixels, so keeping it costs next to nothing.
     dataset: CharacterizationDataset,
     /// Scenario-length scale factor in `(0, 1]`; experiments multiply each
     /// scenario's frame count by this factor (minimum 30 frames).
@@ -245,7 +246,8 @@ impl ExperimentContext {
 
     /// Characterizes the context's validation dataset on an explicit
     /// platform. A node only knows the models its accelerators can run, so
-    /// each device class gets its own characterization over the same frames.
+    /// each device class gets its own characterization over the same
+    /// samples.
     pub fn characterize_on(&self, platform: Platform) -> Characterization {
         characterize(&self.engine_on(platform), &self.dataset)
     }

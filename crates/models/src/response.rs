@@ -20,7 +20,7 @@ use crate::zoo::{logistic, ModelSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use shift_video::{BoundingBox, Frame, FrameContext};
+use shift_video::{BoundingBox, FrameContext, FrameLabel};
 
 /// Result of one simulated inference call.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -54,8 +54,8 @@ impl InferenceResult {
 ///
 /// let zoo = ModelZoo::standard();
 /// let response = ResponseModel::new(42);
-/// let frame = Scenario::scenario_3().stream().next().expect("frame");
-/// let result = response.infer(zoo.spec(ModelId::YoloV7), &frame);
+/// let label = Scenario::scenario_3().label_at(0).expect("frame 0");
+/// let result = response.infer(zoo.spec(ModelId::YoloV7), &label);
 /// // Scenario 3 is easy and close-range: YoloV7 should find the drone.
 /// assert!(result.detection.is_some());
 /// ```
@@ -94,22 +94,28 @@ impl ResponseModel {
         (spec.peak_iou * rolloff).clamp(0.0, 1.0)
     }
 
-    /// Runs simulated inference of `spec` on `frame`.
+    /// Runs simulated inference of `spec` on the frame `label` describes.
     ///
-    /// The result is deterministic in `(seed, frame.index, spec.id)`, and the
+    /// The model reads the frame's index, size, ground truth and context,
+    /// never a pixel, so a caller with a rendered [`Frame`](shift_video::Frame)
+    /// passes its [`label`](shift_video::Frame::label) and a caller without
+    /// one need render nothing
+    /// ([`Scenario::label_at`](shift_video::Scenario::label_at)).
+    ///
+    /// The result is deterministic in `(seed, label.index, spec.id)`, and the
     /// per-frame perturbation is *shared* across models (it models the frame
     /// being intrinsically harder or easier than its nominal context), so
     /// model outputs on the same frame are correlated.
-    pub fn infer(&self, spec: &ModelSpec, frame: &Frame) -> InferenceResult {
-        let mut frame_rng = self.frame_rng(frame.index);
+    pub fn infer(&self, spec: &ModelSpec, label: &FrameLabel) -> InferenceResult {
+        let mut frame_rng = self.frame_rng(label.index);
         // Shared per-frame difficulty perturbation (same for every model).
         let frame_jitter: f64 = frame_rng.gen_range(-0.06..0.06);
         // Per-(frame, model) noise.
-        let mut rng = self.model_rng(frame.index, spec.id);
+        let mut rng = self.model_rng(label.index, spec.id);
 
-        match frame.truth {
+        match label.truth {
             Some(truth) => {
-                let context = frame.context;
+                let context = label.context;
                 let difficulty = (context.difficulty() + frame_jitter).clamp(0.0, 1.0);
                 let rolloff = logistic((spec.capacity - difficulty) / spec.softness);
                 let mean_quality = (spec.peak_iou * rolloff).clamp(0.0, 1.0);
@@ -124,7 +130,7 @@ impl ResponseModel {
                 let direction = rng.gen_range(0.0..std::f64::consts::TAU);
                 let bbox = truth
                     .with_target_iou(quality, direction)
-                    .clamped(frame.image.width(), frame.image.height());
+                    .clamped(label.width, label.height);
                 let confidence = spec
                     .calibration
                     .noisy_confidence(quality, gaussian(&mut rng));
@@ -132,7 +138,7 @@ impl ResponseModel {
                     detection: Some(Detection::new(bbox, confidence)),
                 }
             }
-            None => self.empty_frame_response(spec, frame, &mut rng),
+            None => self.empty_frame_response(spec, label, &mut rng),
         }
     }
 
@@ -166,13 +172,13 @@ impl ResponseModel {
     fn empty_frame_response(
         &self,
         spec: &ModelSpec,
-        frame: &Frame,
+        label: &FrameLabel,
         rng: &mut StdRng,
     ) -> InferenceResult {
         let false_positive_rate = 0.02 + 0.10 * (1.0 - spec.capacity).clamp(0.0, 1.0);
         if rng.gen_bool(false_positive_rate.clamp(0.0, 1.0)) {
-            let w = frame.image.width() as f64;
-            let h = frame.image.height() as f64;
+            let w = label.width as f64;
+            let h = label.height as f64;
             let bbox = BoundingBox::from_center(
                 rng.gen_range(0.1..0.9) * w,
                 rng.gen_range(0.1..0.9) * h,
@@ -224,17 +230,17 @@ mod tests {
     use crate::zoo::ModelZoo;
     use shift_video::{CharacterizationDataset, Scenario};
 
-    fn easy_frame() -> Frame {
-        Scenario::scenario_3().stream().next().expect("frame")
+    fn easy_label() -> FrameLabel {
+        Scenario::scenario_3().label_at(0).expect("frame 0")
     }
 
     #[test]
     fn inference_is_deterministic() {
         let zoo = ModelZoo::standard();
         let response = ResponseModel::new(5);
-        let frame = easy_frame();
-        let a = response.infer(zoo.spec(ModelId::YoloV7), &frame);
-        let b = response.infer(zoo.spec(ModelId::YoloV7), &frame);
+        let label = easy_label();
+        let a = response.infer(zoo.spec(ModelId::YoloV7), &label);
+        let b = response.infer(zoo.spec(ModelId::YoloV7), &label);
         assert_eq!(a, b);
     }
 
@@ -242,9 +248,9 @@ mod tests {
     fn different_models_can_disagree() {
         let zoo = ModelZoo::standard();
         let response = ResponseModel::new(5);
-        let frame = easy_frame();
-        let strong = response.infer(zoo.spec(ModelId::YoloV7), &frame);
-        let weak = response.infer(zoo.spec(ModelId::SsdMobilenetV2Small), &frame);
+        let label = easy_label();
+        let strong = response.infer(zoo.spec(ModelId::YoloV7), &label);
+        let weak = response.infer(zoo.spec(ModelId::SsdMobilenetV2Small), &label);
         assert_ne!(strong, weak);
     }
 
@@ -307,10 +313,10 @@ mod tests {
         for spec in &zoo {
             let mean: f64 = dataset
                 .iter()
-                .map(|frame| {
+                .map(|label| {
                     response
-                        .infer(spec, frame)
-                        .iou_against(frame.truth.as_ref())
+                        .infer(spec, label)
+                        .iou_against(label.truth.as_ref())
                 })
                 .sum::<f64>()
                 / dataset.len() as f64;
@@ -347,10 +353,10 @@ mod tests {
         let dataset = CharacterizationDataset::generate(200, 33);
         let spec = zoo.spec(ModelId::YoloV7);
         let mut pairs = Vec::new();
-        for frame in &dataset {
-            let r = response.infer(spec, frame);
+        for label in &dataset {
+            let r = response.infer(spec, label);
             if let Some(d) = r.detection {
-                pairs.push((d.confidence, r.iou_against(frame.truth.as_ref())));
+                pairs.push((d.confidence, r.iou_against(label.truth.as_ref())));
             }
         }
         assert!(pairs.len() > 50);
@@ -365,11 +371,11 @@ mod tests {
         let scenario = Scenario::scenario_2();
         let mut empty_frames = 0;
         let mut false_positives = 0;
-        for frame in scenario.stream().take(60) {
-            if frame.truth.is_none() {
+        for label in (0..60).filter_map(|index| scenario.label_at(index)) {
+            if label.truth.is_none() {
                 empty_frames += 1;
                 if response
-                    .infer(zoo.spec(ModelId::YoloV7), &frame)
+                    .infer(zoo.spec(ModelId::YoloV7), &label)
                     .detection
                     .is_some()
                 {

@@ -9,7 +9,7 @@ use crate::telemetry::Telemetry;
 use crate::SocError;
 use serde::{Deserialize, Serialize};
 use shift_models::{InferenceResult, ModelId, ModelSpec, ModelZoo, ResponseModel};
-use shift_video::Frame;
+use shift_video::{Frame, FrameLabel};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Outcome of loading a model onto an accelerator.
@@ -339,7 +339,7 @@ impl ExecutionEngine {
         if !self.is_loaded(model, accelerator) {
             return Err(SocError::ModelNotLoaded { model, accelerator });
         }
-        let report = self.probe_inference(model, accelerator, frame)?;
+        let report = self.probe_inference(model, accelerator, &frame.label())?;
         if !self.telemetry_suspended {
             self.telemetry
                 .record_inference(accelerator, report.latency_s, report.energy_j);
@@ -348,11 +348,15 @@ impl ExecutionEngine {
     }
 
     /// Computes the inference a (model, accelerator) pair *would* produce on
-    /// `frame` without requiring residency and without charging telemetry.
+    /// the frame `label` describes, without requiring residency and without
+    /// charging telemetry.
     ///
     /// This is the hook used by the Oracle baselines (which the paper defines
     /// as having every model pre-loaded at zero cost) and by the offline
-    /// characterization pass.
+    /// characterization pass. Latency jitter and the detection depend on the
+    /// label alone, so the characterization probes labels that were never
+    /// rendered, and a caller holding a rendered frame passes
+    /// [`Frame::label`].
     ///
     /// # Errors
     ///
@@ -361,17 +365,17 @@ impl ExecutionEngine {
         &self,
         model: ModelId,
         accelerator: AcceleratorId,
-        frame: &Frame,
+        label: &FrameLabel,
     ) -> Result<InferenceReport, SocError> {
         let spec = self.validate_pair(model, accelerator)?;
         let perf = spec
             .perf_on(accelerator.target())
             .map_err(|_| SocError::IncompatiblePair { model, accelerator })?;
-        let jitter = deterministic_jitter(frame.index, model, accelerator) * self.latency_jitter;
+        let jitter = deterministic_jitter(label.index, model, accelerator) * self.latency_jitter;
         let latency = perf.latency_s * (1.0 + jitter) * self.power_mode.latency_scale(accelerator);
         let power = perf.power_w * self.power_mode.power_scale(accelerator);
         let energy = latency * power;
-        let result = self.response.infer(spec, frame);
+        let result = self.response.infer(spec, label);
         Ok(InferenceReport {
             model,
             accelerator,
@@ -430,6 +434,10 @@ mod tests {
         Scenario::scenario_3().stream().next().expect("frame")
     }
 
+    fn label() -> FrameLabel {
+        Scenario::scenario_3().label_at(0).expect("frame 0")
+    }
+
     #[test]
     fn load_then_run_charges_costs() {
         let mut e = engine();
@@ -475,7 +483,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, SocError::IncompatiblePair { .. }));
         let err = e
-            .probe_inference(ModelId::SsdMobilenetV1, AcceleratorId::Cpu, &frame())
+            .probe_inference(ModelId::SsdMobilenetV1, AcceleratorId::Cpu, &label())
             .unwrap_err();
         assert!(matches!(err, SocError::IncompatiblePair { .. }));
     }
@@ -524,7 +532,7 @@ mod tests {
     fn probe_does_not_touch_telemetry_or_memory() {
         let e = engine();
         let report = e
-            .probe_inference(ModelId::YoloV7, AcceleratorId::Dla1, &frame())
+            .probe_inference(ModelId::YoloV7, AcceleratorId::Dla1, &label())
             .unwrap();
         assert!(report.latency_s > 0.0);
         assert_eq!(e.telemetry().inference_count, 0);
@@ -534,7 +542,7 @@ mod tests {
     #[test]
     fn dla_is_slower_but_lower_power_than_gpu_for_yolov7() {
         let e = engine();
-        let f = frame();
+        let f = label();
         let gpu = e
             .probe_inference(ModelId::YoloV7, AcceleratorId::Gpu, &f)
             .unwrap();
@@ -548,7 +556,7 @@ mod tests {
     #[test]
     fn latency_jitter_is_bounded_and_deterministic() {
         let e = engine();
-        let f = frame();
+        let f = label();
         let a = e
             .probe_inference(ModelId::YoloV7Tiny, AcceleratorId::Gpu, &f)
             .unwrap();
@@ -573,7 +581,7 @@ mod tests {
 
     #[test]
     fn low_power_mode_scales_latency_up_and_power_down() {
-        let f = frame();
+        let f = label();
         let default_report = engine()
             .probe_inference(ModelId::YoloV7, AcceleratorId::Gpu, &f)
             .unwrap();
@@ -591,7 +599,7 @@ mod tests {
         assert_eq!(e.power_mode(), crate::PowerMode::Mode15W);
         e.set_power_mode(crate::PowerMode::Mode20W);
         assert_eq!(e.power_mode(), crate::PowerMode::Mode20W);
-        let f = frame();
+        let f = label();
         let fast = e
             .probe_inference(ModelId::YoloV7, AcceleratorId::Gpu, &f)
             .unwrap();

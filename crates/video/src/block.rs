@@ -28,8 +28,8 @@
 //!   buffers, plus the means the renderer cached. A pair whose buffer was
 //!   dropped before the pass, or whose pixels were mutated (which moves the
 //!   buffer, see `GrayImage::pixels_mut`), takes the serial path.
-//! - The pass runs only when a correlation asks for it: a stream that is
-//!   only rendered, like the characterization dataset's, never pays for it.
+//! - The pass runs only when a correlation asks for it: a stream whose
+//!   frames are only rendered, never correlated, never pays for it.
 //! - A pair counts as linked only when the right-hand frame's record names
 //!   the left-hand frame's own buffer as that pair's left. Any other pair,
 //!   and every frame rendered one at a time through

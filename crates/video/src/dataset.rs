@@ -2,42 +2,51 @@
 //!
 //! SHIFT's offline characterization pass and confidence-graph construction
 //! rely solely on a validation subset of the training data (2,500 images in
-//! the paper). This module generates the synthetic stand-in: a set of frames
-//! whose contexts cover the full difficulty spectrum, produced from short
-//! randomized mini-scenarios so that the validation distribution resembles —
-//! but is not identical to — the evaluation scenarios.
+//! the paper). This module generates the synthetic stand-in: a set of frame
+//! labels whose contexts cover the full difficulty spectrum, taken from
+//! short randomized mini-scenarios so that the validation distribution
+//! resembles — but is not identical to — the evaluation scenarios. The
+//! simulated detector reads no pixel, so no sample is rendered.
 
-use crate::context::FrameContext;
 use crate::scenario::{BackgroundSegment, Environment, Scenario, Window};
-use crate::stream::Frame;
+use crate::stream::FrameLabel;
 use crate::trajectory::{Trajectory, Waypoint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Default number of validation samples, mirroring the paper's 2,500-image
-/// validation split (kept smaller by default so the full experiment suite
-/// runs in seconds; the experiments crate scales it back up where needed).
+/// Default number of validation samples, against the paper's 2,500-image
+/// validation split (kept smaller so the full experiment suite runs in
+/// seconds).
 pub const DEFAULT_VALIDATION_SAMPLES: usize = 600;
 
-/// A set of frames used for offline model characterization and
+/// Frames per randomized clip. Each sample's index is its index within its
+/// clip, `0..CLIP_LEN`, as a rendered clip frame's would be.
+const CLIP_LEN: usize = 8;
+
+/// A set of frame labels used for offline model characterization and
 /// confidence-graph construction.
+///
+/// Each sample is the [`FrameLabel`] of one frame of a short clip: what the
+/// detector model reads of a frame, without its pixels. The labels equal
+/// those of the clip frames a [`FrameStream`](crate::FrameStream) would
+/// render.
 ///
 /// ```
 /// use shift_video::CharacterizationDataset;
 ///
 /// let dataset = CharacterizationDataset::generate(64, 7);
 /// assert_eq!(dataset.len(), 64);
-/// assert!(dataset.frames().iter().any(|f| f.context.difficulty() > 0.5));
-/// assert!(dataset.frames().iter().any(|f| f.context.difficulty() < 0.3));
+/// assert!(dataset.labels().iter().any(|l| l.context.difficulty() > 0.5));
+/// assert!(dataset.labels().iter().any(|l| l.context.difficulty() < 0.3));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CharacterizationDataset {
-    frames: Vec<Frame>,
+    labels: Vec<FrameLabel>,
     seed: u64,
 }
 
 impl CharacterizationDataset {
-    /// Generates a dataset with `samples` frames from seed `seed`.
+    /// Generates a dataset with `samples` labels from seed `seed`.
     ///
     /// Samples are drawn from many short synthetic clips with randomized
     /// trajectories, backgrounds and occlusions, stratified so that easy,
@@ -45,23 +54,22 @@ impl CharacterizationDataset {
     pub fn generate(samples: usize, seed: u64) -> Self {
         let samples = samples.max(1);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut frames = Vec::with_capacity(samples);
-        let clip_len = 8usize;
+        let mut labels = Vec::with_capacity(samples);
         let mut clip_id = 0u64;
-        while frames.len() < samples {
+        while labels.len() < samples {
             // Stratify difficulty: cycle target bands so the dataset covers
             // the whole spectrum regardless of sample count.
             let band = (clip_id % 4) as f64 / 4.0;
-            let scenario = random_clip(&mut rng, seed ^ clip_id, band, clip_len);
-            for frame in scenario.stream() {
-                if frames.len() >= samples {
-                    break;
-                }
-                frames.push(frame);
-            }
+            let scenario = random_clip(&mut rng, seed ^ clip_id, band, CLIP_LEN);
+            let wanted = samples - labels.len();
+            labels.extend(
+                (0..CLIP_LEN)
+                    .filter_map(|index| scenario.label_at(index))
+                    .take(wanted),
+            );
             clip_id += 1;
         }
-        Self { frames, seed }
+        Self { labels, seed }
     }
 
     /// Generates the default-sized validation dataset.
@@ -69,19 +77,19 @@ impl CharacterizationDataset {
         Self::generate(DEFAULT_VALIDATION_SAMPLES, seed)
     }
 
-    /// The frames of the dataset.
-    pub fn frames(&self) -> &[Frame] {
-        &self.frames
+    /// The labels of the dataset, in order.
+    pub fn labels(&self) -> &[FrameLabel] {
+        &self.labels
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.frames.len()
+        self.labels.len()
     }
 
     /// Whether the dataset is empty (never true for generated datasets).
     pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
+        self.labels.is_empty()
     }
 
     /// Seed the dataset was generated from.
@@ -89,36 +97,18 @@ impl CharacterizationDataset {
         self.seed
     }
 
-    /// Iterator over frames.
-    pub fn iter(&self) -> std::slice::Iter<'_, Frame> {
-        self.frames.iter()
-    }
-
-    /// Mean difficulty of the dataset's contexts — useful to sanity-check the
-    /// stratification.
-    pub fn mean_difficulty(&self) -> f64 {
-        if self.frames.is_empty() {
-            return 0.0;
-        }
-        self.frames
-            .iter()
-            .map(|f| f.context.difficulty())
-            .sum::<f64>()
-            / self.frames.len() as f64
-    }
-
-    /// Contexts of all frames, in order.
-    pub fn contexts(&self) -> Vec<FrameContext> {
-        self.frames.iter().map(|f| f.context).collect()
+    /// Iterator over the labels.
+    pub fn iter(&self) -> std::slice::Iter<'_, FrameLabel> {
+        self.labels.iter()
     }
 }
 
 impl<'a> IntoIterator for &'a CharacterizationDataset {
-    type Item = &'a Frame;
-    type IntoIter = std::slice::Iter<'a, Frame>;
+    type Item = &'a FrameLabel;
+    type IntoIter = std::slice::Iter<'a, FrameLabel>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.frames.iter()
+        self.labels.iter()
     }
 }
 
@@ -173,6 +163,48 @@ fn random_clip(rng: &mut StdRng, seed: u64, band: f64, frames: usize) -> Scenari
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::tests::label_bits;
+
+    /// The generator as it was when it rendered every sample: the same
+    /// clips, rendered through `stream()`, each frame mapped to its label.
+    fn rendered_reference(samples: usize, seed: u64) -> Vec<FrameLabel> {
+        let samples = samples.max(1);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut labels = Vec::with_capacity(samples);
+        let mut clip_id = 0u64;
+        while labels.len() < samples {
+            let band = (clip_id % 4) as f64 / 4.0;
+            let scenario = random_clip(&mut rng, seed ^ clip_id, band, 8);
+            for frame in scenario.stream() {
+                if labels.len() >= samples {
+                    break;
+                }
+                labels.push(frame.label());
+            }
+            clip_id += 1;
+        }
+        labels
+    }
+
+    #[test]
+    fn labels_equal_those_of_the_rendered_clips() {
+        for seed in [2024, 7] {
+            for samples in [1, 7, 8, 9, 180, 600] {
+                let dataset = CharacterizationDataset::generate(samples, seed);
+                let reference = rendered_reference(samples, seed);
+                assert_eq!(dataset.len(), samples);
+                assert_eq!(reference.len(), samples);
+                for (k, (label, expected)) in dataset.iter().zip(&reference).enumerate() {
+                    assert_eq!(
+                        label_bits(label),
+                        label_bits(expected),
+                        "seed {seed}, {samples} samples: sample {k}"
+                    );
+                    assert!(label.index < CLIP_LEN);
+                }
+            }
+        }
+    }
 
     #[test]
     fn generate_produces_requested_count() {
@@ -185,25 +217,25 @@ mod tests {
     fn generation_is_deterministic() {
         let a = CharacterizationDataset::generate(50, 9);
         let b = CharacterizationDataset::generate(50, 9);
-        assert_eq!(a.frames(), b.frames());
+        assert_eq!(a.labels(), b.labels());
     }
 
     #[test]
     fn different_seeds_differ() {
         let a = CharacterizationDataset::generate(30, 1);
         let b = CharacterizationDataset::generate(30, 2);
-        assert_ne!(a.frames(), b.frames());
+        assert_ne!(a.labels(), b.labels());
     }
 
     #[test]
     fn difficulty_spectrum_is_covered() {
         let d = CharacterizationDataset::generate(200, 3);
-        let difficulties: Vec<f64> = d.iter().map(|f| f.context.difficulty()).collect();
+        let difficulties: Vec<f64> = d.iter().map(|l| l.context.difficulty()).collect();
         let easy = difficulties.iter().filter(|&&x| x < 0.3).count();
         let hard = difficulties.iter().filter(|&&x| x > 0.6).count();
         assert!(easy > 10, "expected easy samples, got {easy}");
         assert!(hard > 10, "expected hard samples, got {hard}");
-        let mean = d.mean_difficulty();
+        let mean = difficulties.iter().sum::<f64>() / difficulties.len() as f64;
         assert!((0.2..=0.8).contains(&mean), "mean difficulty {mean}");
     }
 
@@ -216,9 +248,8 @@ mod tests {
     #[test]
     fn into_iterator_yields_all_frames() {
         let d = CharacterizationDataset::generate(16, 4);
-        let count = (&d).into_iter().count();
-        assert_eq!(count, 16);
-        assert_eq!(d.contexts().len(), 16);
+        assert_eq!((&d).into_iter().count(), 16);
+        assert!((&d).into_iter().eq(d.labels()));
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use generator::{
 pub use image::GrayImage;
 pub use ncc::{frame_similarity, ncc, ncc_regions, RegionNcc};
 pub use scenario::{Environment, Scenario};
-pub use stream::{Frame, FrameStream};
+pub use stream::{Frame, FrameLabel, FrameStream};
 pub use trajectory::{Trajectory, Waypoint};
 
 /// Error type for the video substrate.

@@ -10,7 +10,7 @@
 use crate::bbox::BoundingBox;
 use crate::context::FrameContext;
 use crate::image::SceneAppearance;
-use crate::stream::FrameStream;
+use crate::stream::{FrameLabel, FrameStream};
 use crate::trajectory::Trajectory;
 use serde::{Deserialize, Serialize};
 
@@ -304,6 +304,19 @@ impl Scenario {
         let cx = x * self.frame_width as f64;
         let cy = y * self.frame_height as f64;
         Some(BoundingBox::from_center(cx, cy, w.max(2.0), h.max(2.0)))
+    }
+
+    /// Frame `index` without its pixels, or `None` past the last frame:
+    /// what [`stream`](Self::stream) and [`FrameStream::frame_at`] would
+    /// yield at that index, minus the image, computed without rendering.
+    pub fn label_at(&self, index: usize) -> Option<FrameLabel> {
+        (index < self.num_frames).then(|| FrameLabel {
+            index,
+            width: self.frame_width,
+            height: self.frame_height,
+            truth: self.truth_at(index),
+            context: self.context_at(index),
+        })
     }
 
     /// Scene appearance (renderer parameters) at frame `index`.

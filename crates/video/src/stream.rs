@@ -8,6 +8,28 @@ use crate::scenario::Scenario;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
+/// What a frame is without its pixels: its index, size, ground truth and
+/// latent context.
+///
+/// This is all the simulated detector (`shift_models::ResponseModel::infer`)
+/// and the offline characterization read of a frame, so they take a label
+/// and need no frame rendered. [`Scenario::label_at`] builds one without
+/// rendering, [`Frame::label`] reads one off a rendered frame, and the two
+/// are equal for every index.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct FrameLabel {
+    /// Zero-based frame index within its scenario.
+    pub index: usize,
+    /// Frame width in pixels.
+    pub width: usize,
+    /// Frame height in pixels.
+    pub height: usize,
+    /// Ground-truth bounding box, or `None` when the target is out of view.
+    pub truth: Option<BoundingBox>,
+    /// Latent scene context used by the detection response model.
+    pub context: FrameContext,
+}
+
 /// A single frame of a scenario: pixels, ground truth and latent context.
 ///
 /// Ground truth (`truth`) and context are consumed only by the evaluation
@@ -26,6 +48,17 @@ pub struct Frame {
 }
 
 impl Frame {
+    /// The frame without its pixels: what the detector model reads.
+    pub fn label(&self) -> FrameLabel {
+        FrameLabel {
+            index: self.index,
+            width: self.image.width(),
+            height: self.image.height(),
+            truth: self.truth,
+            context: self.context,
+        }
+    }
+
     /// Normalized time of the frame inside a video of `total` frames.
     pub fn normalized_time(&self, total: usize) -> f64 {
         if total <= 1 {
@@ -136,28 +169,24 @@ impl FrameStream {
 
 /// Renders `scenario`'s frame `index`, or `None` past its last frame.
 fn render(scenario: &Scenario, index: usize) -> Option<Frame> {
-    if index >= scenario.num_frames() {
-        return None;
-    }
-    let context = scenario.context_at(index);
-    let truth = scenario.truth_at(index);
+    let label = scenario.label_at(index)?;
     let appearance = scenario.appearance_at(index);
     let seed = scenario
         .seed()
         .wrapping_mul(0x1000_0000_01B3)
         .wrapping_add(index as u64);
     let image = render_frame(
-        scenario.frame_width(),
-        scenario.frame_height(),
+        label.width,
+        label.height,
         &appearance,
-        truth.as_ref(),
+        label.truth.as_ref(),
         seed,
     );
     Some(Frame {
         index,
         image,
-        truth,
-        context,
+        truth: label.truth,
+        context: label.context,
     })
 }
 
@@ -198,8 +227,110 @@ impl Iterator for FrameStream {
 impl ExactSizeIterator for FrameStream {}
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::generator::{ScenarioGenerator, ScenarioLibrary};
+    use std::collections::BTreeSet;
+
+    /// Every field of `label` as bits, so that equal vectors mean equal
+    /// labels bit for bit.
+    pub(crate) fn label_bits(label: &FrameLabel) -> Vec<u64> {
+        let c = &label.context;
+        let mut bits = vec![label.index as u64, label.width as u64, label.height as u64];
+        bits.extend(
+            [
+                c.distance,
+                c.clutter,
+                c.contrast,
+                c.motion,
+                c.occlusion,
+                c.lighting,
+            ]
+            .map(f64::to_bits),
+        );
+        bits.push(u64::from(c.in_view));
+        if let Some(b) = label.truth {
+            bits.extend([b.x, b.y, b.w, b.h].map(f64::to_bits));
+        }
+        bits
+    }
+
+    /// The first and last index and both sides of every background,
+    /// occlusion and absence window edge, with how many edges of each kind
+    /// the scenario has.
+    fn edge_indices(scenario: &Scenario) -> (BTreeSet<usize>, [usize; 3]) {
+        let last = scenario.num_frames() - 1;
+        let mut indices = BTreeSet::from([0, last]);
+        let mut edges = [0; 3];
+        let state = |index: usize| {
+            let t = scenario.time_of(index);
+            let inside = |windows: &[crate::scenario::Window]| -> Vec<bool> {
+                windows.iter().map(|w| w.contains(t)).collect()
+            };
+            (
+                scenario.background_index_at(t),
+                inside(scenario.occlusions()),
+                inside(scenario.absences()),
+            )
+        };
+        let mut before = state(0);
+        for index in 1..=last {
+            let now = state(index);
+            let changed = [before.0 != now.0, before.1 != now.1, before.2 != now.2];
+            if changed.contains(&true) {
+                indices.extend([index - 1, index]);
+            }
+            for (count, changed) in edges.iter_mut().zip(changed) {
+                *count += usize::from(changed);
+            }
+            before = now;
+        }
+        (indices, edges)
+    }
+
+    #[test]
+    fn labels_equal_the_rendered_frames_at_every_window_edge() {
+        let spec = ScenarioLibrary::standard()
+            .class("dusk-occlusions")
+            .expect("standard class")
+            .clone();
+        let mut scenarios = Scenario::evaluation_set();
+        scenarios.push(ScenarioGenerator::new(5).generate(&spec, 0));
+        let mut edges = [0; 3];
+        for scenario in &scenarios {
+            let (indices, counts) = edge_indices(scenario);
+            for (total, count) in edges.iter_mut().zip(counts) {
+                *total += count;
+            }
+            let single = scenario.stream();
+            let mut stream = scenario.stream();
+            let mut next = 0;
+            for &index in &indices {
+                let label = scenario.label_at(index).expect("index in range");
+                let rendered = single.frame_at(index).expect("index in range").label();
+                let streamed = stream.nth(index - next).expect("index in range").label();
+                next = index + 1;
+                assert_eq!(label.index, index);
+                assert_eq!(
+                    label_bits(&label),
+                    label_bits(&rendered),
+                    "{}",
+                    scenario.name()
+                );
+                assert_eq!(
+                    label_bits(&label),
+                    label_bits(&streamed),
+                    "{}",
+                    scenario.name()
+                );
+            }
+            assert!(scenario.label_at(scenario.num_frames()).is_none());
+        }
+        assert!(
+            edges.iter().all(|&count| count > 0),
+            "background, occlusion and absence edges: {edges:?}"
+        );
+    }
 
     #[test]
     fn stream_yields_every_frame_exactly_once() {

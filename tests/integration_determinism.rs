@@ -414,9 +414,9 @@ proptest! {
         let spec = &zoo.specs()[model_index];
         let response = ResponseModel::new(seed);
         let scenario = Scenario::scenario_5().with_num_frames(120).with_seed(seed);
-        let frame = scenario.stream().frame_at(frame_index).expect("frame exists");
-        let result = response.infer(spec, &frame);
-        let iou = result.iou_against(frame.truth.as_ref());
+        let label = scenario.label_at(frame_index).expect("frame exists");
+        let result = response.infer(spec, &label);
+        let iou = result.iou_against(label.truth.as_ref());
         prop_assert!((0.0..=1.0).contains(&iou));
         prop_assert!((0.0..=1.0).contains(&result.confidence()));
     }
