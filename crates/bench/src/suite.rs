@@ -12,12 +12,12 @@
 //! |---|---|
 //! | `confidence_graph/predict` | the per-frame accuracy map lookup |
 //! | `scheduler/argmax` | the full Algorithm 1 re-scheduling pass |
-//! | `ncc/context_detect` | the NCC context-similarity computation, with the serial whole-frame NCC of two frames rendered one at a time |
+//! | `ncc/context_detect` | the NCC context-similarity computation, with the serial whole-frame NCC of two frames rendered one at a time from two scenario values of equal content, so that no NCC memo answers it |
 //! | `ncc/region` | the bbox-crop NCC through the reusable region scratch |
-//! | `similarity/frame` | the stateless full-frame + crop similarity helper, on the same unlinked frames |
+//! | `similarity/frame` | the stateless full-frame + crop similarity helper, on the same unlinked, unmemoized frames |
 //! | `loader/lru_churn` | an LRU load + eviction cycle under memory pressure |
 //! | `fleet/step` | one shared-SoC fleet scheduling step (3 streams); `ShiftRuntime::process_frame` runs this loop on a one-slot fleet, so the row also covers the whole-frame cost behind the "< 2 ms" claim. Three streams never have the four pending frame pairs a lane pass needs, so every whole-frame NCC here takes the serial loop |
-//! | `fleet/step_adversarial` | the same step over the worst-case fleet: the minimized hunt-corpus scenarios under a scripted fault plan. The committed corpus gives five streams of one frame size, which link their pending pairs into lane passes; the three-stream synthetic stand-in takes the serial loop |
+//! | `fleet/step_adversarial` | the same step over the worst-case fleet: the minimized hunt-corpus scenarios under a scripted fault plan. The committed corpus gives five streams of one frame size, which link their pending pairs into lane passes; the three-stream synthetic stand-in takes the serial loop. Each rebuild of the fleet plays fresh scenario values, so no step reads an NCC memo an earlier build filled |
 
 use shift_core::fleet::{FleetBuilder, StreamSpec};
 use shift_core::{
@@ -200,13 +200,18 @@ pub fn run_suite_with(
 
     // ncc/context_detect — the per-frame similarity (full-frame NCC plus the
     // bbox-crop NCC) at the standard 64 px evaluation resolution. The two
-    // frames are rendered one at a time with `frame_at`, so they are linked
-    // to no block and every call times the serial whole-frame NCC, the path
-    // fleets and unlinked pairs run. Frames from the stream iterator would
-    // share a block record, and every call after the first would time a
-    // lookup.
-    let stream = Scenario::scenario_1().with_num_frames(2).stream();
-    let frames: Vec<_> = (0..2).filter_map(|i| stream.frame_at(i)).collect();
+    // frames are rendered one at a time with `frame_at`, each from a
+    // scenario value of its own with equal content, so every call times the
+    // serial whole-frame NCC, the path fleets and unlinked pairs run. Frames
+    // from the stream iterator would share a block record, and two frames of
+    // one scenario value would share its NCC memo: every call after the
+    // first would time a lookup.
+    let frames: Vec<_> = (0..2)
+        .filter_map(|i| {
+            let scenario = Scenario::scenario_1().with_num_frames(2);
+            scenario.stream().frame_at(i)
+        })
+        .collect();
     let mut detector = ContextDetector::new();
     detector.update(&frames[0], frames[0].truth.as_ref());
     rows.push(measure(BENCH_NAMES[2], options, || {
@@ -231,7 +236,8 @@ pub fn run_suite_with(
     // similarity/frame — the stateless convenience helper (full-frame NCC +
     // allocating region path), the cost a caller pays without the detector's
     // scratch reuse. Its full-frame term is the serial NCC, as in
-    // ncc/context_detect, because the frames are linked to no block.
+    // ncc/context_detect, because the frames are linked to no block and
+    // share no NCC memo.
     rows.push(measure(BENCH_NAMES[4], options, || {
         black_box(shift_video::frame_similarity(
             &frames[0].image,
@@ -299,10 +305,19 @@ pub fn run_suite_with(
     // fleet: every stream is a minimized hunt-corpus scenario (or the
     // synthetic stand-in) and a scripted fault plan keeps dropping
     // accelerators, clamping DVFS and squeezing pools while the scheduler
-    // re-plans around it. Same rebuild-on-exhaustion protocol as above.
+    // re-plans around it. Same rebuild-on-exhaustion protocol as above. Each
+    // build plays fresh scenario values of the fixture's content: clones
+    // would share the fixture's NCC memos, and every step after a rebuild
+    // would read the whole-frame NCC the last build computed.
     let build_adversarial = || {
+        let specs = fixture.specs.iter().map(|spec| {
+            let mut spec = spec.clone();
+            let seed = spec.scenario.seed();
+            spec.scenario = spec.scenario.with_seed(seed);
+            spec
+        });
         FleetBuilder::new(bench_engine(seed), &characterization)
-            .streams(fixture.specs.iter().cloned())
+            .streams(specs)
             .fault_plan(fixture.plan.clone())
             .build()
             .expect("adversarial bench fleet builds")

@@ -195,7 +195,8 @@ pub struct ClusterSizePoint {
 }
 
 /// Replays the diurnal trace against a cluster of `size` nodes and reduces
-/// the run to its capacity row.
+/// the run to its capacity row. It generates the trace itself; [`artifact`]
+/// generates it once and replays clones of it at every size.
 ///
 /// # Errors
 ///
@@ -206,8 +207,22 @@ pub fn run_size(
     options: &ClusterOptions,
     characterizations: &BTreeMap<DeviceClass, Characterization>,
 ) -> Result<ClusterSizePoint, ExperimentError> {
+    let trace = diurnal_trace(ctx, options);
+    run_trace(ctx, size, options, characterizations, &trace)
+}
+
+/// [`run_size`] on clones of a given trace. The clones' scenarios share
+/// the trace's NCC memos, so every size after the first reads the
+/// whole-frame NCC of the frame pairs an earlier size correlated.
+fn run_trace(
+    ctx: &ExperimentContext,
+    size: usize,
+    options: &ClusterOptions,
+    characterizations: &BTreeMap<DeviceClass, Characterization>,
+    trace: &[ClusterTraceEntry],
+) -> Result<ClusterSizePoint, ExperimentError> {
     let classes = node_classes(size);
-    let mut cluster = scheduled_cluster(ctx, &classes, options, characterizations)?;
+    let mut cluster = scheduled_cluster(ctx, &classes, options, characterizations, trace)?;
     let outcomes = cluster.run_until_idle()?;
     let latencies: Vec<f64> = outcomes.iter().map(|o| o.inner.outcome.latency_s).collect();
     let energy_j: f64 = outcomes.iter().map(|o| o.inner.outcome.energy_j).sum();
@@ -231,12 +246,13 @@ pub fn run_size(
 }
 
 /// A cluster of one node per entry of `classes`, each over its class's
-/// characterization, with the diurnal trace scheduled and nothing run yet.
+/// characterization, with a clone of `trace` scheduled and nothing run yet.
 fn scheduled_cluster(
     ctx: &ExperimentContext,
     classes: &[DeviceClass],
     options: &ClusterOptions,
     characterizations: &BTreeMap<DeviceClass, Characterization>,
+    trace: &[ClusterTraceEntry],
 ) -> Result<ClusterScheduler, ExperimentError> {
     let mut builder = ClusterBuilder::new().policy(
         ClusterPolicy::defaults().with_rebalance(options.rebalance_period, options.rebalance_gap),
@@ -249,7 +265,7 @@ fn scheduled_cluster(
         );
     }
     let mut cluster = builder.build()?;
-    for entry in diurnal_trace(ctx, options) {
+    for entry in trace.iter().cloned() {
         match entry.op {
             ClusterTraceOp::Attach(request) => {
                 cluster.schedule_attach(entry.tick, *request);
@@ -272,7 +288,9 @@ pub struct ClusterArtifact {
 
 /// Runs every cluster size 1→[`MAX_CLUSTER_SIZE`] as an executor cell and
 /// reduces the rows in size order — the artifact is byte-identical for any
-/// `ctx.jobs()`.
+/// `ctx.jobs()`. The diurnal trace is generated once, and every size
+/// schedules clones of it, so the whole-frame NCC of each of its frame
+/// pairs is computed once for all sizes (see `Scenario`'s NCC memo).
 ///
 /// # Errors
 ///
@@ -282,9 +300,10 @@ pub fn artifact(
     options: &ClusterOptions,
 ) -> Result<ClusterArtifact, ExperimentError> {
     let characterizations = class_characterizations(ctx);
+    let trace = diurnal_trace(ctx, options);
     let sizes: Vec<usize> = (1..=MAX_CLUSTER_SIZE).collect();
     let points = crate::executor::try_run_cells(ctx.jobs(), &sizes, |_, &size| {
-        run_size(ctx, size, options, &characterizations)
+        run_trace(ctx, size, options, &characterizations, &trace)
     })?;
     let rows: Vec<ClusterCapacityRow> = points.iter().map(|p| p.row.clone()).collect();
     let mut table = Table::new(
@@ -343,6 +362,7 @@ pub fn generate(ctx: &ExperimentContext) -> Result<Table, ExperimentError> {
 mod tests {
     use super::*;
     use shift_metrics::CLUSTER_CSV_HEADER;
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     #[test]
@@ -403,11 +423,12 @@ mod tests {
         let options = ClusterOptions::full();
         let characterizations = class_characterizations(&ctx);
         let paper = ShiftConfig::paper_defaults().graph_config();
+        let trace = diurnal_trace(&ctx, &options);
         let mut streams: BTreeMap<DeviceClass, usize> = BTreeMap::new();
         for size in [4, 2] {
             let classes = node_classes(size);
             let mut cluster =
-                scheduled_cluster(&ctx, &classes, &options, &characterizations).unwrap();
+                scheduled_cluster(&ctx, &classes, &options, &characterizations, &trace).unwrap();
             cluster.run_until_idle().unwrap();
             for (index, class) in classes.into_iter().enumerate() {
                 let shared = characterizations[&class].graph(paper);
@@ -425,6 +446,39 @@ mod tests {
             &characterizations[&DeviceClass::NxClass].graph(paper),
             &ctx.characterization().graph(paper)
         ));
+    }
+
+    #[test]
+    fn every_size_replays_one_trace_and_correlates_each_frame_pair_once() {
+        // The full trace at the system seed through sizes 1 to 8, as
+        // `artifact` and perfbench's cluster-diurnal replay it: every size
+        // schedules clones of one trace, whose scenarios share NCC memos.
+        let ctx = ExperimentContext::new(2024);
+        let options = ClusterOptions::full();
+        let characterizations = class_characterizations(&ctx);
+        let trace = diurnal_trace(&ctx, &options);
+        let mut correlations = 0;
+        for size in 1..=MAX_CLUSTER_SIZE {
+            let classes = node_classes(size);
+            let mut cluster =
+                scheduled_cluster(&ctx, &classes, &options, &characterizations, &trace).unwrap();
+            let outcomes = cluster.run_until_idle().unwrap();
+            // Every frame but a node-local stream's first correlates with
+            // the frame its context detector remembers.
+            let streams: BTreeSet<(usize, usize)> =
+                outcomes.iter().map(|o| (o.node, o.inner.stream)).collect();
+            correlations += outcomes.len() - streams.len();
+        }
+        let computed: u64 = trace
+            .iter()
+            .filter_map(|entry| match &entry.op {
+                ClusterTraceOp::Attach(request) => Some(request.scenario.ncc_memo_misses()),
+                ClusterTraceOp::Detach(_) => None,
+            })
+            .sum();
+        // Of 4,306 whole-frame correlations, 760 are distinct pairs of
+        // consecutive frames; the rest read the memo.
+        assert_eq!((computed, correlations), (760, 4_306));
     }
 
     #[test]

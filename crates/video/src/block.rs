@@ -510,7 +510,7 @@ pub(crate) mod count {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::image::{render_frame, SceneAppearance};
     use crate::{ncc, BoundingBox, Frame, Scenario};
@@ -528,8 +528,9 @@ mod tests {
         (num, norm)
     }
 
-    /// The same pixels in a buffer of their own, linked to nothing.
-    fn unlinked(image: &GrayImage) -> GrayImage {
+    /// The same pixels in a buffer of their own, linked to nothing and
+    /// tagged with no scenario's NCC memo.
+    pub(crate) fn unlinked(image: &GrayImage) -> GrayImage {
         GrayImage::from_fn(image.width(), image.height(), |x, y| image.get(x, y))
     }
 
@@ -722,10 +723,19 @@ mod tests {
         assert_eq!(link_pairs(std::iter::empty()), 0);
     }
 
+    /// An equal scenario value with an NCC memo of its own (every builder
+    /// starts a fresh one), so that its correlations neither read nor fill
+    /// `scenario`'s memo.
+    pub(crate) fn own_memo(scenario: &Scenario) -> Scenario {
+        scenario.clone().with_seed(scenario.seed())
+    }
+
     /// Each consecutive pair's whole-frame NCC, from frames rendered one at
-    /// a time and so linked to nothing.
+    /// a time, and so linked to nothing, from a value with a memo of its
+    /// own: the serial loop runs for every pair, and `scenario`'s memo stays
+    /// empty.
     fn serial_nccs(scenario: &Scenario) -> Vec<u64> {
-        let stream = scenario.stream();
+        let stream = own_memo(scenario).stream();
         (1..scenario.num_frames())
             .map(|i| {
                 let p = stream.frame_at(i - 1).expect("in range").image;
@@ -820,8 +830,13 @@ mod tests {
         // 8..9's; pairs 4 to 7 serially, plus the eight references.
         assert_eq!((after.0 - before.0, after.1 - before.1), (2, 4 + 8));
 
-        // Frame 5 changed after the pass: its two pairs go serial too.
-        let mut frames: Vec<GrayImage> = scenario.stream().map(|frame| frame.image).collect();
+        // Frame 5 changed after the pass: its two pairs go serial too. The
+        // frames come from a value whose memo is empty, so that the first
+        // correlation runs the pass.
+        let mut frames: Vec<GrayImage> = own_memo(&scenario)
+            .stream()
+            .map(|frame| frame.image)
+            .collect();
         ncc(&frames[0], &frames[1]).unwrap();
         frames[5].set(1, 0, 0.0);
         let before = count::read();

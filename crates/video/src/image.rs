@@ -10,6 +10,7 @@
 
 use crate::bbox::BoundingBox;
 use crate::block::BlockLink;
+use crate::memo::MemoTag;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -31,13 +32,22 @@ use std::sync::{Arc, OnceLock};
 /// pending frame linked by [`link_pairs`](crate::link_pairs)) also names
 /// its pair's shared record here, which holds the whole-frame NCC of every
 /// pair of the record once a correlation asks for one of them (see
-/// [`crate::block`]). A mutation replaces or clears every cell, the
-/// record's name included, so only unchanged pixels are ever linked.
+/// [`crate::block`]).
+///
+/// A frame rendered from a [`Scenario`](crate::Scenario) also carries a tag
+/// here: its scenario's NCC memo and its index, so that the whole-frame NCC
+/// of two consecutive frames of one scenario value is computed once and read
+/// by every clone's replay (see [`crate::memo`]).
+///
+/// A mutation replaces or clears every cell, the record's name and the memo
+/// tag included, so only unchanged pixels are ever linked or answered from a
+/// memo.
 #[derive(Debug, Default)]
 struct Moments {
     mean: OnceLock<f64>,
     centered_norm: OnceLock<f64>,
     block: OnceLock<BlockLink>,
+    memo: OnceLock<MemoTag>,
 }
 
 /// Where every pixel sum starts: `-0.0`, the neutral element `f64`'s `Sum`
@@ -112,7 +122,10 @@ fn pixel_sum(pixels: &[f32]) -> f64 {
 /// The pixel buffer is shared (`Arc`), so cloning an image — e.g. the
 /// context detector remembering the previous frame — is O(1) and keeps the
 /// moment cache warm; mutation goes copy-on-write through
-/// [`set`](Self::set).
+/// [`set`](Self::set). A frame rendered from a
+/// [`Scenario`](crate::Scenario) also carries, in that cache, its
+/// scenario's NCC memo and its index, which [`ncc`](crate::ncc()) reads for
+/// consecutive frames; `set` drops them with every other cached value.
 ///
 /// ```
 /// use shift_video::GrayImage;
@@ -127,10 +140,11 @@ pub struct GrayImage {
     height: usize,
     data: Arc<Vec<f32>>,
     /// Lazy moment cache, shared with clones of this image: the mean, the
-    /// centered norm and, for the right-hand frame of a linked pair, the
-    /// pair's record. A mutation replaces (or clears) every cell, so stale
-    /// moments and stale linked results can never leak across copy-on-write
-    /// boundaries.
+    /// centered norm, for the right-hand frame of a linked pair the pair's
+    /// record, and for a frame rendered from a scenario that scenario's NCC
+    /// memo and the frame's index. A mutation replaces (or clears) every
+    /// cell, so stale moments, stale linked results and stale memo answers
+    /// can never leak across copy-on-write boundaries.
     moments: Arc<Moments>,
 }
 
@@ -201,7 +215,9 @@ impl GrayImage {
         self.data[y * self.width + x]
     }
 
-    /// Sets the pixel at `(x, y)`, clamping the value to `[0, 1]`.
+    /// Sets the pixel at `(x, y)`, clamping the value to `[0, 1]`. The image
+    /// drops every cached moment, its pair record and its scenario's NCC
+    /// memo tag: it is no longer the frame it was rendered as.
     ///
     /// # Panics
     ///
@@ -213,11 +229,11 @@ impl GrayImage {
     }
 
     /// Mutable access to the pixel buffer: unshares it (copy-on-write) and
-    /// invalidates every moment cell, since the caller is about to change
-    /// pixel values. A buffer that a block record references weakly moves to
-    /// a new allocation here (`Arc::make_mut` disassociates weak
-    /// references), so the record can no longer mistake it for the pixels it
-    /// linked.
+    /// invalidates every moment cell, the memo tag included, since the
+    /// caller is about to change pixel values. A buffer that a block record
+    /// references weakly moves to a new allocation here (`Arc::make_mut`
+    /// disassociates weak references), so the record can no longer mistake
+    /// it for the pixels it linked.
     pub(crate) fn pixels_mut(&mut self) -> &mut [f32] {
         match Arc::get_mut(&mut self.moments) {
             // Uniquely owned cache: clearing in place avoids an allocation
@@ -294,6 +310,17 @@ impl GrayImage {
     /// Links this image into a record, unless it is linked already.
     pub(crate) fn set_block_link(&self, link: BlockLink) {
         let _ = self.moments.block.set(link);
+    }
+
+    /// The scenario memo and index this image was rendered with, if any.
+    pub(crate) fn memo_tag(&self) -> Option<&MemoTag> {
+        self.moments.memo.get()
+    }
+
+    /// Tags this image as a scenario's frame, unless it is tagged already.
+    /// Only the renderer tags, and only the pixels it has just written.
+    pub(crate) fn set_memo_tag(&self, tag: MemoTag) {
+        let _ = self.moments.memo.set(tag);
     }
 
     /// Population variance of the pixel intensities.
@@ -677,13 +704,18 @@ fn finish_hash(mut h: u64) -> f32 {
     h ^= h >> 27;
     h = h.wrapping_mul(HASH_Y_MUL);
     h ^= h >> 31;
-    // `h as f64 as f32` is bit-identical to `h as f32` for every u64: the
-    // intermediate f64 rounding is innocuous because f64's 53 mantissa bits
-    // exceed 2 * 24 + 2 (the classical double-rounding bound for f32's 24).
-    // It exists purely for speed — scalar u64 -> f32 on baseline x86-64
-    // branches on the (here: uniformly random) sign bit and eats a ~50%
-    // misprediction per pixel, while u64 -> f64 lowers branch-free. The
-    // divisor 2^64 is a power of two, so the division is an exact multiply.
+    // The conversion through f64 is the definition of the noise, and it is
+    // not the direct `h as f32`: it rounds twice, and when the f64 rounding
+    // lands on a tie between two f32 values the second rounding goes to
+    // even. For 2^63 + 2^39 + 1 it gives f32 bits 0x5F000000, the direct
+    // conversion 0x5F000001; about one uniformly random u64 in 2^29
+    // differs. Both copies of the pixel loop convert through f64 (on
+    // AVX-512, `vcvtuqq2pd` then `vcvtpd2ps`), and a one-step u64 -> f32
+    // conversion such as `vcvtuqq2ps` would move pixels. Through f64 is also
+    // the fast way on baseline x86-64: scalar u64 -> f32 branches on the
+    // (here uniformly random) sign bit and mispredicts about half the time,
+    // while u64 -> f64 lowers branch-free. The divisor 2^64 is a power of
+    // two, so the division is an exact multiply.
     (h as f64 as f32 / u64::MAX as f32) - 0.5
 }
 
@@ -1030,22 +1062,34 @@ mod tests {
     }
 
     #[test]
-    fn u64_to_f32_via_f64_is_bit_identical() {
-        // The claim `finish_hash` relies on: converting u64 -> f64 -> f32
-        // equals the direct u64 -> f32 rounding (innocuous double rounding,
-        // 53 >= 2 * 24 + 2). Spot-checked across magnitudes and around the
-        // f32 precision boundaries; a splitmix walk covers random patterns.
-        let mut h = 0x243F_6A88_85A3_08D3u64;
-        for _ in 0..10_000 {
-            h ^= h >> 30;
-            h = h.wrapping_mul(HASH_X_MUL);
-            assert_eq!((h as f32).to_bits(), (h as f64 as f32).to_bits());
-        }
-        for base in [0u64, 1 << 24, 1 << 25, 1 << 53, 1 << 63, u64::MAX - 64] {
-            for d in 0..=64u64 {
-                let v = base.wrapping_add(d);
-                assert_eq!((v as f32).to_bits(), (v as f64 as f32).to_bits());
-            }
-        }
+    fn noise_converts_u64_to_f32_through_f64_which_can_differ_from_one_rounding() {
+        // 2^63 + 2^39 + 1 rounds to 2^63 + 2^39 in f64, a tie between the
+        // f32 neighbours 2^63 and 2^63 + 2^40, and the tie goes to even; the
+        // direct conversion sees the + 1 and rounds up.
+        let h = (1u64 << 63) + (1u64 << 39) + 1;
+        assert_eq!((h as f64 as f32).to_bits(), 0x5F00_0000);
+        assert_eq!((h as f32).to_bits(), 0x5F00_0001);
+
+        // `finish_hash`'s avalanche is a bijection, so some input ends on
+        // `h`: undo each step, last first. `finish_hash` must give that
+        // input the noise of the conversion through f64.
+        let inverse = |m: u64| {
+            // Newton's iteration doubles the correct low bits each round.
+            (0..6).fold(m, |inv, _| {
+                inv.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(inv)))
+            })
+        };
+        // `y = x ^ (x >> s)` gives `x = y ^ (y >> s) ^ (y >> 2s) ^ …`.
+        let unshift =
+            |y: u64, s: u32| (0..=64 / s).fold(0, |x, j| x ^ y.checked_shr(j * s).unwrap_or(0));
+        let input = unshift(
+            unshift(unshift(h, 31).wrapping_mul(inverse(HASH_Y_MUL)), 27)
+                .wrapping_mul(inverse(HASH_X_MUL)),
+            30,
+        );
+        let through_f64 = (h as f64 as f32 / u64::MAX as f32) - 0.5;
+        let direct = (h as f32 / u64::MAX as f32) - 0.5;
+        assert_ne!(through_f64.to_bits(), direct.to_bits());
+        assert_eq!(finish_hash(input).to_bits(), through_f64.to_bits());
     }
 }

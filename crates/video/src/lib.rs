@@ -37,6 +37,7 @@ pub mod context;
 pub mod dataset;
 pub mod generator;
 pub mod image;
+mod memo;
 pub mod ncc;
 pub mod scenario;
 pub mod stream;

@@ -27,6 +27,7 @@
 use crate::bbox::BoundingBox;
 use crate::block;
 use crate::image::GrayImage;
+use crate::memo;
 use crate::VideoError;
 
 /// Size (width and height) that bounding-box crops are resampled to before
@@ -64,6 +65,15 @@ pub const REGION_NCC_SIZE: usize = 16;
 /// which is stored on `c` like any other norm. Any other pair runs the loop
 /// above.
 ///
+/// Frames rendered from a [`Scenario`](crate::Scenario) carry its NCC memo
+/// and their index. When `p` and `c` carry one memo and `p`'s index is one
+/// below `c`'s, the call returns the memo's value for that pair once some
+/// correlation has computed it, by either path above, from this scenario
+/// value or a clone; otherwise, or while the memo has no value for the pair,
+/// it computes as above and stores the value. The pixels of both frames are
+/// a pure function of the scenario and the index, so the value read is the
+/// value the call would compute.
+///
 /// # Errors
 ///
 /// Returns [`VideoError::DimensionMismatch`] when the images have different
@@ -84,18 +94,32 @@ pub fn ncc(p: &GrayImage, c: &GrayImage) -> Result<f64, VideoError> {
             rhs: (c.width(), c.height()),
         });
     }
+    let slot = memo::slot(p, c);
+    if let Some(value) = slot.as_ref().and_then(memo::Slot::get) {
+        return Ok(value);
+    }
+    let value = correlate(p, c);
+    if let Some(slot) = slot {
+        slot.fill(value);
+    }
+    Ok(value)
+}
+
+/// The NCC of two images of one size, from `c`'s pair record when it links
+/// `p` and from the serial loop otherwise.
+fn correlate(p: &GrayImage, c: &GrayImage) -> f64 {
     let (num, dp, dc) = match block::linked_sums(p, c) {
         Some((num, dc)) => (num, p.centered_norm(), c.store_centered_norm(dc)),
         None => serial_sums(p, c),
     };
     const EPS: f64 = 1e-12;
     if dp < EPS && dc < EPS {
-        return Ok(1.0);
+        return 1.0;
     }
     if dp < EPS || dc < EPS {
-        return Ok(0.0);
+        return 0.0;
     }
-    Ok((num / (dp.sqrt() * dc.sqrt())).clamp(-1.0, 1.0))
+    (num / (dp.sqrt() * dc.sqrt())).clamp(-1.0, 1.0)
 }
 
 /// The cross term and both centered norms of an unlinked pair: one

@@ -10,9 +10,11 @@
 use crate::bbox::BoundingBox;
 use crate::context::FrameContext;
 use crate::image::SceneAppearance;
+use crate::memo::NccMemo;
 use crate::stream::{FrameLabel, FrameStream};
 use crate::trajectory::Trajectory;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Whether a scenario was captured indoors or outdoors. Outdoor scenes have
 /// stronger lighting variation and longer target distances.
@@ -102,7 +104,20 @@ impl Window {
 }
 
 /// A complete synthetic evaluation video.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A frame is a pure function of the scenario and its index, so the
+/// whole-frame [`ncc`](crate::ncc()) of frames `i − 1` and `i` is too. Each
+/// scenario value holds a memo of those correlations, one 8-byte slot per
+/// frame, which all its clones share: the first correlation of a
+/// consecutive pair of frames rendered from the value or a clone computes
+/// it, and every later one, by any runtime, fleet or cluster that plays a
+/// clone, reads it with the same bits.
+/// [`ncc_memo_misses`](Self::ncc_memo_misses) counts the computed ones.
+/// Every constructor and every builder call (`with_seed`,
+/// `with_num_frames`, `with_frame_size`, `with_camera_shake`) starts a
+/// fresh, empty memo, so a value whose frames could differ never shares
+/// one. Equality and `Debug` ignore the memo.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Scenario {
     name: String,
     environment: Environment,
@@ -117,6 +132,74 @@ pub struct Scenario {
     /// Outdoor aerial footage shakes noticeably more than indoor captures.
     camera_shake: f64,
     seed: u64,
+    /// The whole-frame NCC of each frame with the one before it, shared by
+    /// every clone.
+    ncc_memo: Arc<NccMemo>,
+}
+
+impl PartialEq for Scenario {
+    /// Compares every field but the memo, which holds values derived from
+    /// the others.
+    fn eq(&self, other: &Self) -> bool {
+        let Self {
+            name,
+            environment,
+            num_frames,
+            frame_width,
+            frame_height,
+            trajectory,
+            backgrounds,
+            occlusions,
+            absences,
+            camera_shake,
+            seed,
+            ncc_memo: _,
+        } = self;
+        *name == other.name
+            && *environment == other.environment
+            && *num_frames == other.num_frames
+            && *frame_width == other.frame_width
+            && *frame_height == other.frame_height
+            && *trajectory == other.trajectory
+            && *backgrounds == other.backgrounds
+            && *occlusions == other.occlusions
+            && *absences == other.absences
+            && *camera_shake == other.camera_shake
+            && *seed == other.seed
+    }
+}
+
+impl std::fmt::Debug for Scenario {
+    /// Every field but the memo, as a derived `Debug` would print them.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Self {
+            name,
+            environment,
+            num_frames,
+            frame_width,
+            frame_height,
+            trajectory,
+            backgrounds,
+            occlusions,
+            absences,
+            camera_shake,
+            seed,
+            ncc_memo: _,
+        } = self;
+        f.debug_struct("Scenario")
+            .field("name", name)
+            .field("environment", environment)
+            .field("num_frames", num_frames)
+            .field("frame_width", frame_width)
+            .field("frame_height", frame_height)
+            .field("trajectory", trajectory)
+            .field("backgrounds", backgrounds)
+            .field("occlusions", occlusions)
+            .field("absences", absences)
+            .field("camera_shake", camera_shake)
+            .field("seed", seed)
+            .finish()
+    }
 }
 
 /// Default rendered frame edge length. Kept deliberately small (the NCC and
@@ -169,7 +252,31 @@ impl Scenario {
             absences,
             camera_shake,
             seed,
+            ncc_memo: NccMemo::new(num_frames),
         }
+    }
+
+    /// This value with a fresh, empty NCC memo: what every builder returns,
+    /// since it may have changed the frames.
+    fn with_fresh_memo(mut self) -> Self {
+        self.ncc_memo = NccMemo::new(self.num_frames);
+        self
+    }
+
+    /// The memo every frame rendered from this value is tagged with.
+    pub(crate) fn ncc_memo(&self) -> &Arc<NccMemo> {
+        &self.ncc_memo
+    }
+
+    /// How many whole-frame correlations of two consecutive frames of this
+    /// scenario value, or of any clone of it, found its NCC memo empty and
+    /// were computed rather than read from it. Every clone shares the memo
+    /// and this count, so over a single-threaded run it is the number of
+    /// distinct consecutive pairs correlated; two threads that race on one
+    /// pair may both compute it. A correlation of two frames that are not
+    /// consecutive frames of one scenario value is never counted.
+    pub fn ncc_memo_misses(&self) -> u64 {
+        self.ncc_memo.misses()
     }
 
     /// Per-frame camera-shake amplitude (fraction of the frame size).
@@ -177,10 +284,11 @@ impl Scenario {
         self.camera_shake
     }
 
-    /// Returns a copy with a different camera-shake amplitude.
+    /// Returns a copy with a different camera-shake amplitude and a fresh
+    /// NCC memo.
     pub fn with_camera_shake(mut self, camera_shake: f64) -> Self {
         self.camera_shake = camera_shake.clamp(0.0, 0.2);
-        self
+        self.with_fresh_memo()
     }
 
     /// Scenario name (e.g. `"scenario-1"`).
@@ -213,26 +321,28 @@ impl Scenario {
         self.seed
     }
 
-    /// Returns a copy of the scenario with a different frame resolution.
+    /// Returns a copy of the scenario with a different frame resolution and
+    /// a fresh NCC memo.
     pub fn with_frame_size(mut self, width: usize, height: usize) -> Self {
         assert!(width > 0 && height > 0, "frame size must be non-zero");
         self.frame_width = width;
         self.frame_height = height;
-        self
+        self.with_fresh_memo()
     }
 
     /// Returns a copy with a different number of frames (used by tests and
-    /// quick examples to shorten runs).
+    /// quick examples to shorten runs) and a fresh NCC memo.
     pub fn with_num_frames(mut self, num_frames: usize) -> Self {
         assert!(num_frames > 0, "scenario must contain at least one frame");
         self.num_frames = num_frames;
-        self
+        self.with_fresh_memo()
     }
 
-    /// Returns a copy with a different seed.
+    /// Returns a copy with a different seed and a fresh NCC memo. Passing
+    /// the scenario's own seed gives an equal value with a memo of its own.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
+        self.with_fresh_memo()
     }
 
     /// The background segments, sorted by start time.
@@ -357,7 +467,8 @@ impl Scenario {
     /// An iterator over the rendered frames of the scenario. It renders
     /// eight frames at a time and links them, so that the whole-frame NCC of
     /// consecutive frames runs eight pairs per pass (see [`FrameStream`]);
-    /// [`FrameStream::frame_at`] renders one frame, linked to nothing.
+    /// [`FrameStream::frame_at`] renders one frame, linked to nothing. Every
+    /// frame carries this value's NCC memo, which the stream shares.
     pub fn stream(&self) -> FrameStream {
         FrameStream::new(self.clone())
     }

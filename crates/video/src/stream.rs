@@ -4,6 +4,7 @@ use crate::bbox::BoundingBox;
 use crate::block::{self, Member, BLOCK_LEN};
 use crate::context::FrameContext;
 use crate::image::{render_frame, GrayImage};
+use crate::memo::MemoTag;
 use crate::scenario::Scenario;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -85,6 +86,12 @@ impl Frame {
 /// clone of the stream yields frames linked to the same records.
 /// [`frame_at`](Self::frame_at) renders a single frame, linked to nothing.
 ///
+/// Every frame it renders, through the iterator or `frame_at`, carries its
+/// scenario's NCC memo and its index (see [`Scenario`]), so the
+/// whole-frame NCC of frames `i − 1` and `i` is computed once per scenario
+/// value: a stream over a clone of the scenario, or a second stream over the
+/// same one, reads it from the memo instead of correlating again.
+///
 /// ```
 /// use shift_video::Scenario;
 ///
@@ -129,8 +136,10 @@ impl FrameStream {
     }
 
     /// Renders the frame at `index` without advancing the iterator. The
-    /// frame is linked to no block, so its correlations take the serial
-    /// path.
+    /// frame is linked to no block, so a correlation takes the serial path,
+    /// unless it pairs the frame with frame `index − 1` of this scenario
+    /// value or a clone and the scenario's NCC memo already holds that
+    /// pair's value: then it reads the value.
     pub fn frame_at(&self, index: usize) -> Option<Frame> {
         render(&self.scenario, index)
     }
@@ -167,7 +176,8 @@ impl FrameStream {
     }
 }
 
-/// Renders `scenario`'s frame `index`, or `None` past its last frame.
+/// Renders `scenario`'s frame `index`, or `None` past its last frame,
+/// tagged with the scenario's NCC memo and the index.
 fn render(scenario: &Scenario, index: usize) -> Option<Frame> {
     let label = scenario.label_at(index)?;
     let appearance = scenario.appearance_at(index);
@@ -182,6 +192,7 @@ fn render(scenario: &Scenario, index: usize) -> Option<Frame> {
         label.truth.as_ref(),
         seed,
     );
+    image.set_memo_tag(MemoTag::new(scenario.ncc_memo(), index));
     Some(Frame {
         index,
         image,

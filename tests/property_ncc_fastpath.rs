@@ -301,14 +301,21 @@ fn batch_session(name: String, scenario: Scenario) -> SessionRequest {
     ))
 }
 
+/// An equal scenario value with an NCC memo of its own: every builder call
+/// starts a fresh memo, so correlations of its frames compute their values
+/// instead of reading what a run over `scenario` or its clones stored.
+fn own_memo(scenario: &Scenario) -> Scenario {
+    scenario.clone().with_seed(scenario.seed())
+}
+
 /// Replays a fresh context detector per stream slot on the slot's frames
-/// rendered one at a time through `frame_at`, which are linked to nothing
-/// and take the serial NCC, and checks every similarity the slot recorded,
-/// bit for bit. `slots` maps a slot to its scenario and to its outcomes in
-/// the order they ran.
+/// rendered one at a time through `frame_at` from an equal scenario value
+/// with a memo of its own, which are linked to nothing and take the serial
+/// NCC, and checks every similarity the slot recorded, bit for bit. `slots`
+/// maps a slot to its scenario and to its outcomes in the order they ran.
 fn replay_similarities<K: std::fmt::Debug>(slots: &BTreeMap<K, (Scenario, Vec<FrameOutcome>)>) {
     for (slot, (scenario, outcomes)) in slots {
-        let stream = scenario.stream();
+        let stream = own_memo(scenario).stream();
         let mut detector = ContextDetector::new();
         let mut last: Option<BoundingBox> = None;
         for outcome in outcomes {
@@ -449,7 +456,8 @@ proptest! {
 
     /// `ShiftRuntime::run` over a stream's linked blocks produces the same
     /// outcomes as over the same frames rendered one at a time through
-    /// `frame_at`, which are linked to nothing and take the serial NCC.
+    /// `frame_at` from an equal scenario value with a memo of its own, which
+    /// are linked to nothing and take the serial NCC.
     #[test]
     fn shift_runtime_over_linked_blocks_matches_frames_rendered_one_by_one(
         scenario in (0u64..1_000, 0usize..96, 0usize..STREAM_SIZES.len(), 1usize..40),
@@ -458,11 +466,68 @@ proptest! {
         let (seed, spec, size, frames) = scenario;
         let scenario = generated_scenario(seed, spec, size, frames);
         let linked = shift_runtime().run(scenario.stream_from(start)).expect("runs");
-        let stream = scenario.stream();
+        let stream = own_memo(&scenario).stream();
         let one_by_one = (start..frames).filter_map(|i| stream.frame_at(i));
         let single = shift_runtime().run(one_by_one).expect("runs");
         prop_assert_eq!(linked.len(), frames.saturating_sub(start));
         prop_assert_eq!(linked, single);
+    }
+
+    /// Every scenario value memoizes the whole-frame NCC of each frame with
+    /// the one before it, for all its clones. A memo filled by one pass over
+    /// every frame answers a context detector that starts anywhere (past
+    /// the end too) on a clone and skips frames inside and across blocks:
+    /// every whole-frame NCC and every similarity equals, bit for bit, the
+    /// same run over an equal scenario value with a memo of its own, and the
+    /// three-pass reference. The clone's run reads every consecutive pair
+    /// and computes the others, so the memo's miss count does not grow.
+    #[test]
+    fn a_run_over_a_clone_reads_the_memo_with_the_bits_of_its_own_memo(
+        scenario in (0u64..1_000, 0usize..96, 0usize..STREAM_SIZES.len(), 1usize..40),
+        start in 0usize..44,
+        steps in proptest::collection::vec(0usize..20, 1..40),
+    ) {
+        let (seed, spec, size, frames) = scenario;
+        let scenario = generated_scenario(seed, spec, size, frames);
+        let filled: Vec<_> = scenario.stream().collect();
+        for pair in filled.windows(2) {
+            ncc(&pair[0].image, &pair[1].image).expect("one size");
+        }
+        let misses = scenario.ncc_memo_misses();
+        prop_assert_eq!(misses, frames as u64 - 1);
+        // The yielded frames' indices and detector similarities, and each
+        // whole-frame NCC with the frame before it beside the three-pass
+        // reference, as bits.
+        let run = |scenario: &Scenario| {
+            let mut stream = scenario.stream_from(start % (frames + 4));
+            let mut detector = ContextDetector::new();
+            let mut previous: Option<GrayImage> = None;
+            let (mut similarities, mut wholes) = (Vec::new(), Vec::new());
+            for &step in &steps {
+                // Half the steps are `next`, half skip 0 to 9 frames.
+                let next = match step.checked_sub(10) {
+                    Some(skip) => stream.nth(skip),
+                    None => stream.next(),
+                };
+                let Some(frame) = next else { break };
+                let similarity = detector.similarity(&frame, frame.truth.as_ref());
+                similarities.push((frame.index, similarity.to_bits()));
+                if let Some(p) = &previous {
+                    let whole = ncc(p, &frame.image).expect("one size");
+                    let reference = reference_ncc(p, &frame.image).expect("one size");
+                    wholes.push((whole.to_bits(), reference.to_bits()));
+                }
+                detector.update(&frame, frame.truth.as_ref());
+                previous = Some(frame.image);
+            }
+            (similarities, wholes)
+        };
+        let from_clone = run(&scenario.clone());
+        prop_assert_eq!(scenario.ncc_memo_misses(), misses, "the clone's run computed a read");
+        prop_assert_eq!(&from_clone, &run(&own_memo(&scenario)));
+        for (whole, reference) in &from_clone.1 {
+            prop_assert_eq!(whole, reference);
+        }
     }
 
     /// A fleet links the pending frame pairs of up to eight ready streams
