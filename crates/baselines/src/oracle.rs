@@ -9,12 +9,17 @@
 //!
 //! Three objectives are evaluated: Oracle E (energy), Oracle A (accuracy) and
 //! Oracle L (latency).
+//!
+//! An Oracle reads no pixel: it probes the simulated detector on a frame's
+//! label and scores against its ground truth, so it runs on
+//! [`FrameLabel`]s (`Scenario::label_at`, or `Frame::label` of a rendered
+//! frame) and needs no frame rendered.
 
 use serde::{Deserialize, Serialize};
 use shift_metrics::FrameRecord;
 use shift_models::ModelId;
 use shift_soc::{AcceleratorId, ExecutionEngine, InferenceReport, SocError};
-use shift_video::Frame;
+use shift_video::FrameLabel;
 
 /// The metric an Oracle optimizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -104,8 +109,9 @@ impl OracleRuntime {
         &mut self.engine
     }
 
-    /// Processes one frame: probe every pair whose accelerator is accepting
-    /// work, filter by IoU >= 0.5, pick the best according to the objective.
+    /// Processes one frame, given by its label: probe every pair whose
+    /// accelerator is accepting work, filter by IoU >= 0.5, pick the best
+    /// according to the objective.
     /// The Oracle keeps its zero-cost model loading, but it cannot see
     /// through an outage: offline accelerators are excluded from the probe
     /// set until they recover.
@@ -115,14 +121,13 @@ impl OracleRuntime {
     /// Propagates probing errors from the SoC simulator, and reports
     /// [`SocError::AcceleratorOffline`] (naming the first candidate's
     /// accelerator) when every candidate accelerator is offline at once.
-    pub fn process_frame(&mut self, frame: &Frame) -> Result<FrameRecord, SocError> {
-        let label = frame.label();
+    pub fn process_frame(&mut self, label: &FrameLabel) -> Result<FrameRecord, SocError> {
         let mut probes: Vec<InferenceReport> = Vec::with_capacity(self.pairs.len());
         for &(model, accelerator) in &self.pairs {
             if !self.engine.is_online(accelerator) {
                 continue;
             }
-            probes.push(self.engine.probe_inference(model, accelerator, &label)?);
+            probes.push(self.engine.probe_inference(model, accelerator, label)?);
         }
         if probes.is_empty() {
             return Err(SocError::AcceleratorOffline(
@@ -132,7 +137,7 @@ impl OracleRuntime {
                     .unwrap_or(AcceleratorId::Gpu),
             ));
         }
-        let iou_of = |report: &InferenceReport| report.result.iou_against(frame.truth.as_ref());
+        let iou_of = |report: &InferenceReport| report.result.iou_against(label.truth.as_ref());
 
         let qualifying: Vec<&InferenceReport> =
             probes.iter().filter(|r| iou_of(r) >= 0.5).collect();
@@ -160,7 +165,7 @@ impl OracleRuntime {
         self.previous_pair = Some(pair);
 
         Ok(FrameRecord::new(
-            frame.index,
+            label.index,
             best.model,
             best.accelerator,
             iou_of(best),
@@ -170,18 +175,19 @@ impl OracleRuntime {
         ))
     }
 
-    /// Runs the Oracle over a full frame stream.
+    /// Runs the Oracle over a sequence of frame labels, such as
+    /// `Scenario::labels`.
     ///
     /// # Errors
     ///
     /// Propagates the first probing error.
-    pub fn run<I>(&mut self, frames: I) -> Result<Vec<FrameRecord>, SocError>
+    pub fn run<I>(&mut self, labels: I) -> Result<Vec<FrameRecord>, SocError>
     where
-        I: IntoIterator<Item = Frame>,
+        I: IntoIterator<Item = FrameLabel>,
     {
         let mut records = Vec::new();
-        for frame in frames {
-            records.push(self.process_frame(&frame)?);
+        for label in labels {
+            records.push(self.process_frame(&label)?);
         }
         Ok(records)
     }
@@ -225,10 +231,10 @@ mod tests {
     #[test]
     fn oracle_avoids_offline_accelerators_and_errors_when_all_are_down() {
         let mut o = oracle(OracleObjective::Energy);
-        let frame = Scenario::scenario_3().stream().next().unwrap();
+        let label = Scenario::scenario_3().label_at(0).unwrap();
         o.engine_mut()
             .set_accelerator_online(AcceleratorId::Gpu, false);
-        let record = o.process_frame(&frame).unwrap();
+        let record = o.process_frame(&label).unwrap();
         assert_ne!(
             record.accelerator,
             AcceleratorId::Gpu,
@@ -237,13 +243,13 @@ mod tests {
         for accelerator in ORACLE_ACCELERATORS {
             o.engine_mut().set_accelerator_online(accelerator, false);
         }
-        let err = o.process_frame(&frame).unwrap_err();
+        let err = o.process_frame(&label).unwrap_err();
         assert!(matches!(err, SocError::AcceleratorOffline(_)));
         // Recovery restores the full candidate set.
         for accelerator in ORACLE_ACCELERATORS {
             o.engine_mut().set_accelerator_online(accelerator, true);
         }
-        assert!(o.process_frame(&frame).is_ok());
+        assert!(o.process_frame(&label).is_ok());
     }
 
     #[test]
@@ -273,10 +279,10 @@ mod tests {
     fn accuracy_oracle_dominates_energy_oracle_on_iou() {
         let scenario = Scenario::scenario_1().with_num_frames(200);
         let a_records = oracle(OracleObjective::Accuracy)
-            .run(scenario.clone().stream())
+            .run(scenario.labels())
             .unwrap();
         let e_records = oracle(OracleObjective::Energy)
-            .run(scenario.stream())
+            .run(scenario.labels())
             .unwrap();
         let mean = |records: &[FrameRecord]| {
             records.iter().map(|r| r.iou).sum::<f64>() / records.len() as f64
@@ -293,10 +299,10 @@ mod tests {
     fn energy_oracle_uses_less_energy_than_accuracy_oracle() {
         let scenario = Scenario::scenario_1().with_num_frames(200);
         let a_records = oracle(OracleObjective::Accuracy)
-            .run(scenario.clone().stream())
+            .run(scenario.labels())
             .unwrap();
         let e_records = oracle(OracleObjective::Energy)
-            .run(scenario.stream())
+            .run(scenario.labels())
             .unwrap();
         let total = |records: &[FrameRecord]| records.iter().map(|r| r.energy_j).sum::<f64>();
         assert!(
@@ -311,10 +317,10 @@ mod tests {
     fn latency_oracle_minimizes_time() {
         let scenario = Scenario::scenario_2().with_num_frames(150);
         let l_records = oracle(OracleObjective::Latency)
-            .run(scenario.clone().stream())
+            .run(scenario.labels())
             .unwrap();
         let a_records = oracle(OracleObjective::Accuracy)
-            .run(scenario.stream())
+            .run(scenario.labels())
             .unwrap();
         let mean_latency = |records: &[FrameRecord]| {
             records.iter().map(|r| r.latency_s).sum::<f64>() / records.len() as f64
@@ -326,7 +332,7 @@ mod tests {
     fn oracle_counts_swaps() {
         let mut o = oracle(OracleObjective::Accuracy);
         let records = o
-            .run(Scenario::scenario_1().with_num_frames(150).stream())
+            .run(Scenario::scenario_1().with_num_frames(150).labels())
             .unwrap();
         let swapped_frames = records.iter().filter(|r| r.swapped).count() as u64;
         assert_eq!(swapped_frames, o.swap_count());

@@ -35,7 +35,7 @@ use shift_baselines::{MarlinConfig, MarlinRuntime, OracleObjective, OracleRuntim
 use shift_core::FleetBuilder;
 use shift_metrics::{FrameRecord, ResilienceBreakdown, ResilienceRow, Table};
 use shift_soc::{FaultInjector, FaultPlan, FaultSpec, SocError};
-use shift_video::Scenario;
+use shift_video::{FrameLabel, Scenario};
 
 /// The methodologies the chaos grid compares on every (plan, scenario) cell.
 pub const METHODS: [&str; 3] = ["SHIFT", "Marlin", "Oracle E"];
@@ -137,30 +137,38 @@ fn run_method(
             }
             Ok(records)
         }
-        "Oracle E" => {
-            let mut runtime = OracleRuntime::new(
-                ctx.engine(),
-                OracleObjective::Energy,
-                &crate::MULTI_ACCELERATORS,
-            )?;
-            let mut injector = FaultInjector::new(plan.clone());
-            let mut records = Vec::with_capacity(scenario.num_frames());
-            let fallback = runtime.pairs().first().copied();
-            for frame in scenario.stream() {
-                injector.advance(frame.index as u64, runtime.engine_mut());
-                match runtime.process_frame(&frame) {
-                    Ok(record) => records.push(record),
-                    Err(SocError::AcceleratorOffline(_)) => {
-                        let (model, accelerator) = fallback.expect("oracle has pairs");
-                        records.push(blind_record(frame.index, model, accelerator));
-                    }
-                    Err(other) => return Err(other.into()),
-                }
-            }
-            Ok(records)
-        }
+        "Oracle E" => run_oracle_e(ctx, scenario.labels(), plan),
         other => unreachable!("unknown chaos method {other}"),
     }
+}
+
+/// Runs Oracle E over `labels` under one fault plan. The Oracle reads no
+/// pixel, so it takes labels and nothing is rendered.
+fn run_oracle_e(
+    ctx: &ExperimentContext,
+    labels: impl IntoIterator<Item = FrameLabel>,
+    plan: &FaultPlan,
+) -> Result<Vec<FrameRecord>, ExperimentError> {
+    let mut runtime = OracleRuntime::new(
+        ctx.engine(),
+        OracleObjective::Energy,
+        &crate::MULTI_ACCELERATORS,
+    )?;
+    let mut injector = FaultInjector::new(plan.clone());
+    let mut records = Vec::new();
+    let fallback = runtime.pairs().first().copied();
+    for label in labels {
+        injector.advance(label.index as u64, runtime.engine_mut());
+        match runtime.process_frame(&label) {
+            Ok(record) => records.push(record),
+            Err(SocError::AcceleratorOffline(_)) => {
+                let (model, accelerator) = fallback.expect("oracle has pairs");
+                records.push(blind_record(label.index, model, accelerator));
+            }
+            Err(other) => return Err(other.into()),
+        }
+    }
+    Ok(records)
 }
 
 /// Runs the grid: every methodology over every (plan, scenario) cell, rows
@@ -314,6 +322,28 @@ pub fn artifact(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn oracle_e_runs_on_labels_as_it_ran_on_rendered_frames_under_every_fault_plan() {
+        let ctx = ExperimentContext::quick(63);
+        let scenario = ctx.scenarios().swap_remove(1);
+        let plans = fault_plan_library(&ctx, scenario.num_frames() as u64);
+        let mut runs = Vec::new();
+        for (name, plan) in &plans {
+            let before = scenario.render_count();
+            let records = run_method(&ctx, &scenario, "Oracle E", plan).expect("runs");
+            assert_eq!(scenario.render_count(), before, "{name}: nothing rendered");
+            let labels = scenario.stream().map(|frame| frame.label());
+            let rendered = run_oracle_e(&ctx, labels, plan).expect("runs");
+            assert_eq!(records, rendered, "{name}");
+            assert_eq!(records.len(), scenario.num_frames(), "{name}");
+            runs.push(records);
+        }
+        assert!(
+            runs[1..].iter().any(|records| *records != runs[0]),
+            "some fault plan moves the Oracle off its healthy choices"
+        );
+    }
 
     #[test]
     fn plan_library_is_pure_and_ordered() {

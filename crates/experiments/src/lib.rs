@@ -311,7 +311,8 @@ impl ExperimentContext {
         Ok(runtime.run(scenario.stream())?)
     }
 
-    /// Runs one of the Oracles over a scenario.
+    /// Runs one of the Oracles over a scenario's frame labels: an Oracle
+    /// reads no pixel, so no frame is rendered.
     ///
     /// # Errors
     ///
@@ -322,7 +323,7 @@ impl ExperimentContext {
         objective: OracleObjective,
     ) -> Result<Vec<FrameRecord>, ExperimentError> {
         let mut runtime = OracleRuntime::new(self.engine(), objective, &MULTI_ACCELERATORS)?;
-        Ok(runtime.run(scenario.stream())?)
+        Ok(runtime.run(scenario.labels())?)
     }
 }
 
@@ -343,6 +344,32 @@ pub fn outcome_to_record(outcome: &FrameOutcome) -> FrameRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_oracles_run_on_labels_as_they_ran_on_rendered_frames() {
+        let ctx = ExperimentContext::quick(3);
+        let scenario = ctx.scenarios().swap_remove(0);
+        for objective in [
+            OracleObjective::Energy,
+            OracleObjective::Accuracy,
+            OracleObjective::Latency,
+        ] {
+            let records = ctx.run_oracle(&scenario, objective).expect("runs");
+            assert_eq!(scenario.render_count(), 0, "{objective}: nothing rendered");
+            let mut runtime =
+                OracleRuntime::new(ctx.engine(), objective, &MULTI_ACCELERATORS).expect("builds");
+            let own = scenario.clone().with_seed(scenario.seed());
+            let rendered = runtime
+                .run(own.stream().map(|frame| frame.label()))
+                .expect("runs");
+            assert_eq!(own.render_count(), own.num_frames() as u64);
+            assert_eq!(records, rendered, "{objective}");
+        }
+        // The counter sees a method that does render.
+        ctx.run_marlin(&scenario, MarlinConfig::standard())
+            .expect("runs");
+        assert_eq!(scenario.render_count(), scenario.num_frames() as u64);
+    }
 
     #[test]
     fn quick_context_scales_scenarios_down() {

@@ -11,6 +11,7 @@
 use crate::bbox::BoundingBox;
 use crate::block::BlockLink;
 use crate::memo::MemoTag;
+use crate::sincosf::Trig;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -424,13 +425,18 @@ impl Default for SceneAppearance {
 ///
 /// The returned image's mean is already cached: the renderer sums the pixels
 /// right after writing them. On an x86-64 host with AVX-512 (F, DQ and VL)
-/// the pixel loop and that sum run in a copy of the same code compiled for
-/// those units, which do the noise hash's 64-bit multiplies and its
-/// `u64 → f64` conversion natively, eight lanes at a time. Both copies give
-/// the same bits: the hash is exact integer arithmetic, the float
-/// expressions are evaluated as written (Rust never fuses a multiply and an
-/// add into one FMA), and the sum re-associates only when no addition can
-/// round. [`render_kernel`] names the copy this host runs.
+/// the frame's plan, the pixel loop and that sum run in a copy of the same
+/// code compiled for those units. That copy builds the background's sine and
+/// cosine tables sixteen lanes at a time with a port of the host libm's
+/// `sinf` and `cosf` (glibc 2.36's FMA build), and does the noise hash's
+/// 64-bit multiplies and its `u64 → f64` conversion natively, eight lanes at
+/// a time. The portable copy calls libm for each table value. Both copies
+/// give the same bits: the port reproduces libm bit for bit, the hash is
+/// exact integer arithmetic, the float expressions are evaluated as written
+/// (Rust never fuses a multiply and an add into one FMA; the port's explicit
+/// `f64::mul_add` stands where libm fuses), and the sum re-associates only
+/// when no addition can round. [`render_kernel`] names the copy this host
+/// runs.
 pub fn render_frame(
     width: usize,
     height: usize,
@@ -438,15 +444,14 @@ pub fn render_frame(
     target: Option<&BoundingBox>,
     seed: u64,
 ) -> GrayImage {
-    let plan = FramePlan::new(width, height, appearance, target, seed);
     let mut img = GrayImage::new(width, height);
-    let sum = plan.paint(img.pixels_mut());
+    let sum = paint(width, height, appearance, target, seed, img.pixels_mut());
     let _ = img.moments.mean.set(sum / img.len() as f64);
     img
 }
 
-/// The copy of the pixel loop [`render_frame`] runs on this host:
-/// `"avx512"` when it is an x86-64 host with AVX-512 F, DQ and VL, else
+/// The copy of the frame's plan and pixel loop [`render_frame`] runs on this
+/// host: `"avx512"` when it is an x86-64 host with AVX-512 F, DQ and VL, else
 /// `"portable"`. Both give the same pixels and the same mean; only the
 /// speed differs, which is why timing snapshots record it.
 pub fn render_kernel() -> &'static str {
@@ -457,9 +462,9 @@ pub fn render_kernel() -> &'static str {
     }
 }
 
-/// Whether this host has the AVX-512 subsets [`FramePlan::paint_avx512`]
-/// and the block NCC's AVX-512 copy are compiled for. The standard library
-/// caches the detection.
+/// Whether this host has the AVX-512 subsets [`paint_avx512`] and the block
+/// NCC's AVX-512 copy are compiled for. The standard library caches the
+/// detection.
 pub(crate) fn has_avx512() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -471,6 +476,89 @@ pub(crate) fn has_avx512() -> bool {
     {
         false
     }
+}
+
+/// Plans the frame and paints it into `pixels`, returning their
+/// [`pixel_sum`]: on the AVX-512 copy when [`has_avx512`] finds its
+/// features, else on the portable one, which takes its table values from
+/// libm.
+#[allow(unsafe_code)]
+fn paint(
+    width: usize,
+    height: usize,
+    appearance: &SceneAppearance,
+    target: Option<&BoundingBox>,
+    seed: u64,
+    pixels: &mut [f32],
+) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx512() {
+        // SAFETY: `paint_avx512` may only run on a CPU with avx512f,
+        // avx512dq and avx512vl, its `target_feature` set, and `has_avx512`
+        // has just detected all three on this CPU.
+        return unsafe { paint_avx512(width, height, appearance, target, seed, pixels) };
+    }
+    FramePlan::new(width, height, appearance, target, seed, Tables::Libm).paint_pixels(pixels)
+}
+
+/// [`FramePlan::new`] with its tables from the lanes, and
+/// [`FramePlan::paint_pixels`], compiled for AVX-512.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn paint_avx512(
+    width: usize,
+    height: usize,
+    appearance: &SceneAppearance,
+    target: Option<&BoundingBox>,
+    seed: u64,
+    pixels: &mut [f32],
+) -> f64 {
+    FramePlan::new(width, height, appearance, target, seed, Tables::Lanes).paint_pixels(pixels)
+}
+
+/// How [`FramePlan::new`] evaluates the background's sines and cosines.
+/// Both give the same bits on a host whose libm is glibc's FMA build.
+#[derive(Debug, Clone, Copy)]
+enum Tables {
+    /// One call into the host's libm per value: the portable copy's way.
+    Libm,
+    /// [`Trig::apply`], sixteen values at a time: the AVX-512 copy's way.
+    Lanes,
+}
+
+/// The background's four per-axis tables before evaluation: each table's
+/// function and its arguments, in the order low x, high x, low y, high y.
+///
+/// The background texture is separable: every trigonometric factor depends
+/// on x alone or y alone, so the sin/cos evaluations are hoisted out of the
+/// pixel loop into four per-axis tables (`width + height` evaluations
+/// instead of `width * height`). The per-pixel expression multiplies the
+/// identical factors in the identical order, so the rendered pixels are
+/// bit-for-bit the same as the fused form.
+#[inline(always)]
+pub(crate) fn table_args(
+    width: usize,
+    height: usize,
+    appearance: &SceneAppearance,
+) -> [(Trig, Vec<f32>); 4] {
+    let phase = appearance.background_id as f32 * 1.7 + 0.31;
+    let fx = |x: usize| x as f32 / width as f32 + appearance.camera_dx as f32;
+    let fy = |y: usize| y as f32 / height as f32 + appearance.camera_dy as f32;
+    [
+        (Trig::Sin, (0..width).map(|x| fx(x) * 6.3 + phase).collect()),
+        (
+            Trig::Sin,
+            (0..width).map(|x| fx(x) * 61.0 + phase * 3.0).collect(),
+        ),
+        (
+            Trig::Cos,
+            (0..height).map(|y| fy(y) * 4.7 + phase * 0.5).collect(),
+        ),
+        (
+            Trig::Sin,
+            (0..height).map(|y| fy(y) * 53.0 + phase * 2.0).collect(),
+        ),
+    ]
 }
 
 /// Everything [`render_frame`]'s pixel loop reads, computed once per frame.
@@ -491,33 +579,31 @@ struct FramePlan {
 }
 
 impl FramePlan {
+    /// The plan of one frame, its table values computed the way `tables`
+    /// says. Inlined always, so each copy of the renderer compiles its own.
+    #[inline(always)]
     fn new(
         width: usize,
         height: usize,
         appearance: &SceneAppearance,
         target: Option<&BoundingBox>,
         seed: u64,
+        tables: Tables,
     ) -> Self {
-        let phase = appearance.background_id as f32 * 1.7 + 0.31;
-        // The background texture is separable: every trigonometric factor
-        // depends on x alone or y alone, so the sin/cos evaluations are
-        // hoisted out of the pixel loop into four per-axis tables
-        // (`width + height` evaluations instead of `width * height`). The
-        // per-pixel expression multiplies the identical factors in the
-        // identical order, so the rendered pixels are bit-for-bit the same
-        // as the fused form.
-        let (mut low_x, mut high_x) = (vec![0.0f32; width], vec![0.0f32; width]);
-        for (x, (low, high)) in low_x.iter_mut().zip(high_x.iter_mut()).enumerate() {
-            let fx = x as f32 / width as f32 + appearance.camera_dx as f32;
-            *low = (fx * 6.3 + phase).sin();
-            *high = (fx * 61.0 + phase * 3.0).sin();
+        let mut args = table_args(width, height, appearance);
+        // Plain loops, not closures: the lanes must inline into the
+        // AVX-512 copy.
+        for (trig, values) in &mut args {
+            match tables {
+                Tables::Libm => {
+                    for value in values.iter_mut() {
+                        *value = trig.libm(*value);
+                    }
+                }
+                Tables::Lanes => trig.apply(values),
+            }
         }
-        let (mut low_y, mut high_y) = (vec![0.0f32; height], vec![0.0f32; height]);
-        for (y, (low, high)) in low_y.iter_mut().zip(high_y.iter_mut()).enumerate() {
-            let fy = y as f32 / height as f32 + appearance.camera_dy as f32;
-            *low = (fy * 4.7 + phase * 0.5).cos();
-            *high = (fy * 53.0 + phase * 2.0).sin();
-        }
+        let [(_, low_x), (_, high_x), (_, low_y), (_, high_y)] = args;
         // The noise hash mixes its three inputs with independent wrapping
         // multiplies, so the seed term hoists out of the loop entirely, the
         // y term out of each row, and the x terms into a per-frame table.
@@ -540,28 +626,6 @@ impl FramePlan {
                 .collect(),
             target: target.and_then(|bbox| Target::new(bbox, width, height, appearance)),
         }
-    }
-
-    /// Paints the frame into `pixels` and returns their [`pixel_sum`], on
-    /// the AVX-512 copy when [`has_avx512`] finds its features, else on the
-    /// portable one.
-    #[allow(unsafe_code)]
-    fn paint(&self, pixels: &mut [f32]) -> f64 {
-        #[cfg(target_arch = "x86_64")]
-        if has_avx512() {
-            // SAFETY: `paint_avx512` may only run on a CPU with avx512f,
-            // avx512dq and avx512vl, its `target_feature` set, and
-            // `has_avx512` has just detected all three on this CPU.
-            return unsafe { self.paint_avx512(pixels) };
-        }
-        self.paint_pixels(pixels)
-    }
-
-    /// [`paint_pixels`](Self::paint_pixels) compiled for AVX-512.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    fn paint_avx512(&self, pixels: &mut [f32]) -> f64 {
-        self.paint_pixels(pixels)
     }
 
     /// The pixel loop: each row's background and noise, then the target's
@@ -722,6 +786,9 @@ fn finish_hash(mut h: u64) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::noise_seed;
+    use crate::stream::tests::edge_indices;
+    use crate::Scenario;
 
     #[test]
     #[should_panic(expected = "non-zero")]
@@ -881,14 +948,37 @@ mod tests {
         pixels
     }
 
+    /// Renders through [`render_frame`] and through the portable body
+    /// (tables from libm) directly, and compares pixels, the sum against
+    /// the serial fold and the stored mean, all by bits.
+    fn check_against_portable(
+        width: usize,
+        height: usize,
+        appearance: &SceneAppearance,
+        target: Option<&BoundingBox>,
+        seed: u64,
+        case: &str,
+    ) -> Vec<f32> {
+        let dispatched = render_frame(width, height, appearance, target, seed);
+        let plan = FramePlan::new(width, height, appearance, target, seed, Tables::Libm);
+        let mut portable = vec![0.0f32; width * height];
+        let sum = plan.paint_pixels(&mut portable);
+        assert_eq!(bits(dispatched.pixels()), bits(&portable), "{case}");
+        assert_eq!(sum.to_bits(), serial_sum(&portable).to_bits(), "{case}");
+        let mean = sum / portable.len() as f64;
+        assert_eq!(dispatched.mean().to_bits(), mean.to_bits(), "{case}");
+        portable
+    }
+
     #[test]
     fn dispatched_render_is_bit_identical_to_the_portable_body() {
-        // `render_frame` runs the AVX-512 copy of `paint_pixels` on a host
-        // that has it; here the portable body runs directly, and the two
-        // must agree on every pixel and on the stored mean. On a host
-        // without AVX-512 `render_frame` runs the portable body as well, so
-        // the two sides are one path there, and the per-pixel background
-        // and the serial fold below remain the independent checks.
+        // `render_frame` runs the AVX-512 copy, whose tables come from the
+        // lanes, on a host that has it; here the portable body with libm's
+        // tables runs directly, and the two must agree on every pixel and
+        // on the stored mean. On a host without AVX-512 `render_frame` runs
+        // the portable body as well, so the two sides are one path there,
+        // and the per-pixel background and the serial fold below remain the
+        // independent checks.
         let defaults = SceneAppearance::default();
         let appearances = [
             defaults,
@@ -929,21 +1019,41 @@ mod tests {
                     for target in &targets {
                         let case =
                             format!("{width}x{height}, {appearance:?}, seed {seed}, {target:?}");
-                        let dispatched =
-                            render_frame(width, height, appearance, target.as_ref(), seed);
-                        let plan = FramePlan::new(width, height, appearance, target.as_ref(), seed);
-                        let mut portable = vec![0.0f32; width * height];
-                        let sum = plan.paint_pixels(&mut portable);
-                        assert_eq!(bits(dispatched.pixels()), bits(&portable), "{case}");
-                        assert_eq!(sum.to_bits(), serial_sum(&portable).to_bits(), "{case}");
-                        let mean = sum / portable.len() as f64;
-                        assert_eq!(dispatched.mean().to_bits(), mean.to_bits(), "{case}");
+                        let portable = check_against_portable(
+                            width,
+                            height,
+                            appearance,
+                            target.as_ref(),
+                            seed,
+                            &case,
+                        );
                         if target.is_none() {
                             let reference = per_pixel_background(width, height, appearance, seed);
                             assert_eq!(bits(&portable), bits(&reference), "{case}");
                         }
                     }
                 }
+            }
+        }
+        // Real frames: the first, the last and both sides of every window
+        // edge of the six evaluation scenarios, with the stream's inputs.
+        // On an AVX-512 host this is where the lanes meet libm pixel by
+        // pixel.
+        for scenario in Scenario::evaluation_set() {
+            let (indices, _) = edge_indices(&scenario);
+            let stream = scenario.stream();
+            for index in indices {
+                let frame = stream.frame_at(index).expect("index in range");
+                let case = format!("{} frame {index}", scenario.name());
+                let portable = check_against_portable(
+                    scenario.frame_width(),
+                    scenario.frame_height(),
+                    &scenario.appearance_at(index),
+                    frame.truth.as_ref(),
+                    noise_seed(&scenario, index),
+                    &case,
+                );
+                assert_eq!(bits(frame.image.pixels()), bits(&portable), "{case}");
             }
         }
     }

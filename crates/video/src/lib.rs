@@ -40,6 +40,7 @@ pub mod image;
 mod memo;
 pub mod ncc;
 pub mod scenario;
+mod sincosf;
 pub mod stream;
 pub mod trajectory;
 

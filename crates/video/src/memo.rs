@@ -17,6 +17,9 @@
 //! race to fill it computed the same bits. Relaxed ordering suffices,
 //! because a slot publishes no data but its own value, whole in that word,
 //! and the miss count is a statistic.
+//!
+//! The memo also counts the frames rendered from its scenario value and its
+//! clones, a statistic of the same kind, shared and started afresh with it.
 
 use crate::image::GrayImage;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,6 +34,8 @@ pub(crate) struct NccMemo {
     slots: Box<[AtomicU64]>,
     /// The correlations of consecutive frames that found their slot empty.
     misses: AtomicU64,
+    /// The frames rendered from the scenario value and its clones.
+    renders: AtomicU64,
 }
 
 impl NccMemo {
@@ -39,6 +44,7 @@ impl NccMemo {
         Arc::new(Self {
             slots: (0..frames).map(|_| AtomicU64::new(0)).collect(),
             misses: AtomicU64::new(0),
+            renders: AtomicU64::new(0),
         })
     }
 
@@ -46,6 +52,17 @@ impl NccMemo {
     /// and computed the value.
     pub(crate) fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Counts one rendered frame.
+    pub(crate) fn count_render(&self) {
+        self.renders.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// How many frames have been rendered from the scenario value and its
+    /// clones.
+    pub(crate) fn renders(&self) -> u64 {
+        self.renders.load(Ordering::Relaxed)
     }
 }
 
@@ -209,9 +226,12 @@ mod tests {
         for (how, scenario) in &built {
             assert_eq!(scenario, &original, "{how} keeps the content");
             assert_eq!(scenario.ncc_memo_misses(), 0, "{how}");
+            assert_eq!(scenario.render_count(), 0, "{how}");
             assert_eq!(fill(scenario), 1, "{how} computes its own");
+            assert_eq!(scenario.render_count(), 2, "{how} counts its own");
         }
         assert_eq!(original.ncc_memo_misses(), 1);
+        assert_eq!(original.render_count(), 4, "two frames, twice");
     }
 
     #[test]

@@ -112,11 +112,12 @@ impl Window {
 /// consecutive pair of frames rendered from the value or a clone computes
 /// it, and every later one, by any runtime, fleet or cluster that plays a
 /// clone, reads it with the same bits.
-/// [`ncc_memo_misses`](Self::ncc_memo_misses) counts the computed ones.
+/// [`ncc_memo_misses`](Self::ncc_memo_misses) counts the computed ones,
+/// and [`render_count`](Self::render_count) the frames rendered.
 /// Every constructor and every builder call (`with_seed`,
 /// `with_num_frames`, `with_frame_size`, `with_camera_shake`) starts a
-/// fresh, empty memo, so a value whose frames could differ never shares
-/// one. Equality and `Debug` ignore the memo.
+/// fresh, empty memo with both counts at 0, so a value whose frames could
+/// differ never shares one. Equality and `Debug` ignore the memo.
 #[derive(Clone, Serialize, Deserialize)]
 pub struct Scenario {
     name: String,
@@ -279,6 +280,17 @@ impl Scenario {
         self.ncc_memo.misses()
     }
 
+    /// How many frames have been rendered from this scenario value and its
+    /// clones: by their streams, whose iterators render blocks of up to
+    /// eight frames ahead of the frame they yield, and by
+    /// [`FrameStream::frame_at`]. A relaxed counter shared with the NCC
+    /// memo: clones share it, and every constructor and builder call starts
+    /// it at 0, as they do [`ncc_memo_misses`](Self::ncc_memo_misses).
+    /// [`label_at`](Self::label_at) renders nothing and counts nothing.
+    pub fn render_count(&self) -> u64 {
+        self.ncc_memo.renders()
+    }
+
     /// Per-frame camera-shake amplitude (fraction of the frame size).
     pub fn camera_shake(&self) -> f64 {
         self.camera_shake
@@ -427,6 +439,12 @@ impl Scenario {
             truth: self.truth_at(index),
             context: self.context_at(index),
         })
+    }
+
+    /// The label of every frame, in order: what [`stream`](Self::stream)
+    /// would yield, minus the pixels, computed without rendering.
+    pub fn labels(&self) -> impl Iterator<Item = FrameLabel> + '_ {
+        (0..self.num_frames).filter_map(|index| self.label_at(index))
     }
 
     /// Scene appearance (renderer parameters) at frame `index`.

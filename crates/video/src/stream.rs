@@ -176,22 +176,28 @@ impl FrameStream {
     }
 }
 
+/// The noise seed [`render_frame`] draws `scenario`'s frame `index` with.
+pub(crate) fn noise_seed(scenario: &Scenario, index: usize) -> u64 {
+    scenario
+        .seed()
+        .wrapping_mul(0x1000_0000_01B3)
+        .wrapping_add(index as u64)
+}
+
 /// Renders `scenario`'s frame `index`, or `None` past its last frame,
-/// tagged with the scenario's NCC memo and the index.
+/// tagged with the scenario's NCC memo and the index, and counts it in
+/// [`Scenario::render_count`].
 fn render(scenario: &Scenario, index: usize) -> Option<Frame> {
     let label = scenario.label_at(index)?;
     let appearance = scenario.appearance_at(index);
-    let seed = scenario
-        .seed()
-        .wrapping_mul(0x1000_0000_01B3)
-        .wrapping_add(index as u64);
     let image = render_frame(
         label.width,
         label.height,
         &appearance,
         label.truth.as_ref(),
-        seed,
+        noise_seed(scenario, index),
     );
+    scenario.ncc_memo().count_render();
     image.set_memo_tag(MemoTag::new(scenario.ncc_memo(), index));
     Some(Frame {
         index,
@@ -269,7 +275,7 @@ pub(crate) mod tests {
     /// The first and last index and both sides of every background,
     /// occlusion and absence window edge, with how many edges of each kind
     /// the scenario has.
-    fn edge_indices(scenario: &Scenario) -> (BTreeSet<usize>, [usize; 3]) {
+    pub(crate) fn edge_indices(scenario: &Scenario) -> (BTreeSet<usize>, [usize; 3]) {
         let last = scenario.num_frames() - 1;
         let mut indices = BTreeSet::from([0, last]);
         let mut edges = [0; 3];
@@ -419,6 +425,41 @@ pub(crate) mod tests {
         let mut late = scenario.stream_from(7);
         assert_eq!(late.len(), 0);
         assert!(late.next().is_none());
+    }
+
+    #[test]
+    fn the_render_count_counts_every_frame_rendered_once() {
+        let scenario = Scenario::scenario_2().with_num_frames(20);
+        // A stream over a clone renders each yielded frame once, in blocks
+        // of 8, 8 and 4; the clone and the original share the count.
+        let clone = scenario.clone();
+        assert_eq!(clone.stream().count(), 20);
+        assert_eq!((scenario.render_count(), clone.render_count()), (20, 20));
+        // Labels render nothing; `frame_at` renders one frame, and nothing
+        // past the last.
+        let fresh = scenario.clone().with_seed(scenario.seed());
+        assert_eq!(fresh.render_count(), 0, "a builder starts at 0");
+        assert!(fresh.label_at(3).is_some());
+        assert_eq!(fresh.render_count(), 0);
+        let stream = fresh.stream();
+        assert!(stream.frame_at(3).is_some());
+        assert_eq!(fresh.render_count(), 1);
+        assert!(stream.frame_at(20).is_none());
+        assert_eq!(fresh.render_count(), 1);
+        // `nth` past the rendered block renders the returned frame and up
+        // to seven after it; inside the block it renders nothing.
+        let counted = scenario.clone().with_seed(scenario.seed());
+        let mut stream = counted.stream();
+        assert_eq!(stream.next().map(|f| f.index), Some(0));
+        assert_eq!(counted.render_count(), 8, "frames 0 to 7");
+        assert_eq!(stream.nth(2).map(|f| f.index), Some(3));
+        assert_eq!(counted.render_count(), 8, "frame 3 was in the block");
+        assert_eq!(stream.nth(5).map(|f| f.index), Some(9));
+        assert_eq!(counted.render_count(), 16, "frames 9 to 16");
+        assert_eq!(stream.nth(7).map(|f| f.index), Some(17));
+        assert_eq!(counted.render_count(), 19, "frames 17 to 19, the last");
+        assert!(stream.nth(5).is_none());
+        assert_eq!(counted.render_count(), 19, "nothing past the last frame");
     }
 
     #[test]
