@@ -427,16 +427,18 @@ impl Default for SceneAppearance {
 /// right after writing them. On an x86-64 host with AVX-512 (F, DQ and VL)
 /// the frame's plan, the pixel loop and that sum run in a copy of the same
 /// code compiled for those units. That copy builds the background's sine and
-/// cosine tables sixteen lanes at a time with a port of the host libm's
-/// `sinf` and `cosf` (glibc 2.36's FMA build), and does the noise hash's
-/// 64-bit multiplies and its `u64 → f64` conversion natively, eight lanes at
-/// a time. The portable copy calls libm for each table value. Both copies
-/// give the same bits: the port reproduces libm bit for bit, the hash is
-/// exact integer arithmetic, the float expressions are evaluated as written
-/// (Rust never fuses a multiply and an add into one FMA; the port's explicit
-/// `f64::mul_add` stands where libm fuses), and the sum re-associates only
-/// when no addition can round. [`render_kernel`] names the copy this host
-/// runs.
+/// cosine tables sixteen lanes at a time with a port of glibc 2.36's FMA
+/// build of `sinf` and `cosf`, and does the noise hash's 64-bit multiplies
+/// and its `u64 → f64` conversion natively, eight lanes at a time. The
+/// portable copy calls the host's libm for each table value. Where that libm
+/// is glibc's FMA build (glibc on an x86-64 CPU with FMA and AVX2), both
+/// copies give the same bits: the port reproduces that build bit for bit,
+/// the hash is exact integer arithmetic, the float expressions are evaluated
+/// as written (Rust never fuses a multiply and an add into one FMA; the
+/// port's explicit `f64::mul_add` stands where libm fuses), and the sum
+/// re-associates only when no addition can round. With another libm the
+/// portable copy's pixels follow it. [`render_kernel`] names the copy this
+/// host runs.
 pub fn render_frame(
     width: usize,
     height: usize,
@@ -452,8 +454,9 @@ pub fn render_frame(
 
 /// The copy of the frame's plan and pixel loop [`render_frame`] runs on this
 /// host: `"avx512"` when it is an x86-64 host with AVX-512 F, DQ and VL, else
-/// `"portable"`. Both give the same pixels and the same mean; only the
-/// speed differs, which is why timing snapshots record it.
+/// `"portable"`. Where the host's libm is glibc's FMA build both give the
+/// same pixels and the same mean, and only the speed differs, which is why
+/// timing snapshots record it.
 pub fn render_kernel() -> &'static str {
     if has_avx512() {
         "avx512"
@@ -523,6 +526,7 @@ enum Tables {
     /// One call into the host's libm per value: the portable copy's way.
     Libm,
     /// [`Trig::apply`], sixteen values at a time: the AVX-512 copy's way.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     Lanes,
 }
 
@@ -786,6 +790,7 @@ fn finish_hash(mut h: u64) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sincosf::libm_is_the_fma_build;
     use crate::stream::noise_seed;
     use crate::stream::tests::edge_indices;
     use crate::Scenario;
@@ -948,9 +953,19 @@ mod tests {
         pixels
     }
 
+    /// Whether [`render_frame`] runs the lanes on this host while its libm
+    /// is not the build they reproduce: then the AVX-512 copy is compared
+    /// with the portable body on the lanes' tables, not on libm's.
+    fn lanes_differ_from_libm() -> bool {
+        has_avx512() && !libm_is_the_fma_build()
+    }
+
     /// Renders through [`render_frame`] and through the portable body
-    /// (tables from libm) directly, and compares pixels, the sum against
-    /// the serial fold and the stored mean, all by bits.
+    /// directly, and compares pixels, each sum against the serial fold and
+    /// the stored mean, all by bits. The portable body takes its tables
+    /// from libm, or from the lanes where [`lanes_differ_from_libm`].
+    /// Returns the dispatched render and the portable body's pixels on
+    /// libm's tables.
     fn check_against_portable(
         width: usize,
         height: usize,
@@ -958,16 +973,25 @@ mod tests {
         target: Option<&BoundingBox>,
         seed: u64,
         case: &str,
-    ) -> Vec<f32> {
+    ) -> (GrayImage, Vec<f32>) {
+        let portable = |tables| {
+            let plan = FramePlan::new(width, height, appearance, target, seed, tables);
+            let mut pixels = vec![0.0f32; width * height];
+            let sum = plan.paint_pixels(&mut pixels);
+            assert_eq!(sum.to_bits(), serial_sum(&pixels).to_bits(), "{case}");
+            (pixels, sum)
+        };
+        let (libm, libm_sum) = portable(Tables::Libm);
+        let (expected, sum) = if lanes_differ_from_libm() {
+            portable(Tables::Lanes)
+        } else {
+            (libm.clone(), libm_sum)
+        };
         let dispatched = render_frame(width, height, appearance, target, seed);
-        let plan = FramePlan::new(width, height, appearance, target, seed, Tables::Libm);
-        let mut portable = vec![0.0f32; width * height];
-        let sum = plan.paint_pixels(&mut portable);
-        assert_eq!(bits(dispatched.pixels()), bits(&portable), "{case}");
-        assert_eq!(sum.to_bits(), serial_sum(&portable).to_bits(), "{case}");
-        let mean = sum / portable.len() as f64;
+        assert_eq!(bits(dispatched.pixels()), bits(&expected), "{case}");
+        let mean = sum / expected.len() as f64;
         assert_eq!(dispatched.mean().to_bits(), mean.to_bits(), "{case}");
-        portable
+        (dispatched, libm)
     }
 
     #[test]
@@ -975,9 +999,10 @@ mod tests {
         // `render_frame` runs the AVX-512 copy, whose tables come from the
         // lanes, on a host that has it; here the portable body with libm's
         // tables runs directly, and the two must agree on every pixel and
-        // on the stored mean. On a host without AVX-512 `render_frame` runs
-        // the portable body as well, so the two sides are one path there,
-        // and the per-pixel background and the serial fold below remain the
+        // on the stored mean wherever libm is the build the lanes
+        // reproduce. On a host without AVX-512 `render_frame` runs the
+        // portable body as well, so the two sides are one path there, and
+        // the per-pixel background and the serial fold remain the
         // independent checks.
         let defaults = SceneAppearance::default();
         let appearances = [
@@ -1019,7 +1044,7 @@ mod tests {
                     for target in &targets {
                         let case =
                             format!("{width}x{height}, {appearance:?}, seed {seed}, {target:?}");
-                        let portable = check_against_portable(
+                        let (_, portable) = check_against_portable(
                             width,
                             height,
                             appearance,
@@ -1037,15 +1062,15 @@ mod tests {
         }
         // Real frames: the first, the last and both sides of every window
         // edge of the six evaluation scenarios, with the stream's inputs.
-        // On an AVX-512 host this is where the lanes meet libm pixel by
-        // pixel.
+        // On an AVX-512 host whose libm is glibc's FMA build this is where
+        // the lanes meet libm pixel by pixel.
         for scenario in Scenario::evaluation_set() {
             let (indices, _) = edge_indices(&scenario);
             let stream = scenario.stream();
             for index in indices {
                 let frame = stream.frame_at(index).expect("index in range");
                 let case = format!("{} frame {index}", scenario.name());
-                let portable = check_against_portable(
+                let (dispatched, _) = check_against_portable(
                     scenario.frame_width(),
                     scenario.frame_height(),
                     &scenario.appearance_at(index),
@@ -1053,8 +1078,17 @@ mod tests {
                     noise_seed(&scenario, index),
                     &case,
                 );
-                assert_eq!(bits(frame.image.pixels()), bits(&portable), "{case}");
+                assert_eq!(
+                    bits(frame.image.pixels()),
+                    bits(dispatched.pixels()),
+                    "{case}"
+                );
             }
+        }
+        if lanes_differ_from_libm() {
+            println!(
+                "skipped the AVX-512 copy against libm's tables: libm is not glibc's FMA build"
+            );
         }
     }
 

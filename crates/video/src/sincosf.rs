@@ -27,7 +27,9 @@
 //! 120, three in the odd polynomial, four in the even one. Here they are
 //! `f64::mul_add`, the only fused multiply-adds in the repository; every
 //! other operation is exact integer arithmetic or one correctly rounded f64
-//! or f32 operation, as in libm, so the lanes give libm's bits on any host.
+//! or f32 operation, as in libm. The lanes therefore give the same bits on
+//! every host: those of glibc's FMA build, which equal the host's libm only
+//! where the host's libm is that build.
 //!
 //! # The algorithm
 //!
@@ -53,10 +55,10 @@
 //!
 //! [`Trig::lanes`] evaluates sixteen arguments without a branch per lane:
 //! the compiler turns each lane's choices into selects and the lane loop
-//! into vector instructions. It computes both reductions only when its
-//! sixteen arguments need both; the renderer's arguments at the evaluation
-//! scenarios' seeds are all 120 or more, and for those it computes only the
-//! table reduction.
+//! into vector instructions. It computes only the table reduction when all
+//! sixteen arguments are 120 or more, and both reductions otherwise; the
+//! renderer's arguments at the evaluation scenarios' seeds are all 120 or
+//! more.
 //!
 //! # Why the portable renderer keeps libm
 //!
@@ -142,8 +144,9 @@ struct Reduced {
 /// Which reductions a batch of lanes computes.
 #[derive(Clone, Copy)]
 enum Reduction {
-    Medium,
+    /// Only the table reduction: every argument is 120 or more.
     Large,
+    /// Both, each lane selecting its own.
     Both,
 }
 
@@ -225,16 +228,16 @@ impl Trig {
         }
     }
 
-    /// This function of sixteen arguments, each with libm's bits. Both
-    /// reductions run only when the batch needs both.
+    /// This function of sixteen arguments, each with libm's bits. Only the
+    /// table reduction runs when every argument is 120 or more.
     #[inline(always)]
     fn lanes(self, y: &[f32; LANES]) -> [f32; LANES] {
         let large = y.iter().filter(|&&v| top12(v) >= TOP12_LARGE).count();
         // One loop per case, so that each compiles with its reduction fixed.
-        match large {
-            0 => self.lane_loop(y, Reduction::Medium),
-            LANES => self.lane_loop(y, Reduction::Large),
-            _ => self.lane_loop(y, Reduction::Both),
+        if large == LANES {
+            self.lane_loop(y, Reduction::Large)
+        } else {
+            self.lane_loop(y, Reduction::Both)
         }
     }
 
@@ -253,7 +256,6 @@ impl Trig {
     fn lane(self, y: f32, how: Reduction) -> f32 {
         let top = top12(y);
         let Reduced { r, quadrant, odd } = match how {
-            Reduction::Medium => reduce_medium(y),
             Reduction::Large => reduce_large(y),
             Reduction::Both => {
                 let (medium, large) = (reduce_medium(y), reduce_large(y));
@@ -302,6 +304,22 @@ impl Trig {
         } else {
             poly
         }
+    }
+}
+
+/// Whether the host's libm is the build the constants come from: glibc on
+/// x86-64 selects its FMA build of `sinf` and `cosf` on a CPU with FMA and
+/// AVX2 (unless its hwcaps tunables mask them). Tests compare the lanes
+/// with libm only where this holds.
+#[cfg(test)]
+pub(crate) fn libm_is_the_fma_build() -> bool {
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+    {
+        is_x86_feature_detected!("fma") && is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")))]
+    {
+        false
     }
 }
 
@@ -375,20 +393,6 @@ mod tests {
         }
     }
 
-    /// Whether the host's libm is the one the constants come from: glibc
-    /// on x86-64 selects its FMA build of `sinf` and `cosf` on a CPU with
-    /// FMA and AVX2.
-    fn libm_is_the_fma_build() -> bool {
-        #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
-        {
-            is_x86_feature_detected!("fma") && is_x86_feature_detected!("avx2")
-        }
-        #[cfg(not(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")))]
-        {
-            false
-        }
-    }
-
     /// Equal bits, or both NaN.
     fn same(a: f32, b: f32) -> bool {
         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
@@ -409,6 +413,7 @@ mod tests {
     fn lane_copies(f: Trig, values: &[f32]) -> Vec<(&'static str, Vec<f32>)> {
         let mut portable = values.to_vec();
         f.apply(&mut portable);
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
         let mut copies = vec![("portable", portable)];
         #[cfg(target_arch = "x86_64")]
         if has_avx512() {
